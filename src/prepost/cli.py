@@ -14,12 +14,16 @@ Exit codes: 0 success; 2 usage errors (unknown flags, missing arguments);
 3 configuration errors (missing or invalid network files); 4 computation
 errors (inconsistent selections, unsupported merge contexts, basis
 mismatches); 5 malformed state literals; 6 out-of-range parameters
-(cuts, quantiles).  Output is deterministic: identical invocations render
-byte-identical reports, with seeds echoed in the output.
+(cuts, quantiles, sample counts).  Output is deterministic: identical
+invocations render byte-identical reports, with seeds echoed in the output.
+
+The argument parser is built once per process, on the first request, and
+reused by every later request.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -270,7 +274,7 @@ def _exec_bohm(args) -> Report:
         ]
         diagnostics.extend(rec.diagnostics)
         return Report(payload=payload, text="\n".join(lines), diagnostics=diagnostics)
-    samples = args.samples or 1000
+    samples = 1000 if args.samples is None else args.samples
     if samples < 1:
         raise OutOfRangeError("samples must be >= 1")
     stats = run_ensemble(
@@ -296,7 +300,7 @@ def _exec_measure(args) -> Report:
     except ValueError as exc:
         raise StateLiteralError(f"non-numeric eigenvalue list {args.eigenvalues!r}") from exc
     setup = MeasurementSetup(labels, values)
-    samples = args.samples or 1
+    samples = 1 if args.samples is None else args.samples
     if samples < 1:
         raise OutOfRangeError("samples must be >= 1")
     records = []
@@ -420,9 +424,14 @@ _EXECUTORS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def parse_request(argv=None):
     """Parse and validate an argument vector; argparse exits 2 on usage errors."""
-    return build_parser().parse_args(argv)
+    return _parser().parse_args(argv)
 
 
 def execute(args) -> Report:

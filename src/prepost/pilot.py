@@ -27,12 +27,27 @@ evolution of a supplied terminal functional.  That functional must include
 every branch of the final wave, empty or not; if the wave it induces at the
 entry cut leaks onto non-source ports, the run is flagged with the
 diagnostic "empty-wave component absent".
+
+Ensembles classify their draws instead of transporting each one.  Every
+rule above is weakly monotone in q, also in IEEE doubles (1 - q, 2q,
+2(1 - q), 2q - 1, (1 +- q)/2, q/2 and the clamp), and the only branch on q
+is q < 1/2; which element a particle meets, and whether a merge routes it,
+depend on its mode alone.  By induction over the stages, the start
+quantiles that share one route (the mode at every cut) form an interval,
+possibly a single point such as q0 = 1/2 on the preset.  So a draw that
+lies between two traced draws with the same route takes that route
+without being transported, and only the other draws are traced.  Draws are
+classified in index order, so the statistics, dict order included, are
+those of transporting every draw; a draw whose route raises is never
+between two completed routes, so it is traced and raises at the same
+sample.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterable, Iterator, Union
 
 from .hilbert import Bra, Ket
 from .network import BS_REFLECT, BS_TRANSMIT, Element, Network, backward_chain, forward_chain
@@ -342,6 +357,52 @@ def _run(plan: _Plan, q0: float) -> TrajectoryRecord:
     )
 
 
+@dataclass(frozen=True, eq=False)
+class _Route:
+    """One route through a plan: the mode at every cut.  Routes are shared
+    per plan, so identity is equality."""
+
+    modes: tuple[str, ...]
+    terminal: str
+    path: tuple[str, ...]
+
+
+def _classify(plan: _Plan, quantiles: Iterable[float]) -> Iterator[_Route]:
+    """The route of each start quantile, in order (see module docstring).
+
+    A quantile between two traced ones with the same route takes that
+    route; any other quantile is traced with ``_run`` and joins the sorted
+    list of traced quantiles.
+    """
+    known: dict[tuple[str, ...], _Route] = {}
+    traced: list[float] = []
+    routes: list[_Route] = []
+    for q in quantiles:
+        k = bisect_right(traced, q)
+        if 0 < k < len(traced) and routes[k - 1] is routes[k]:
+            yield routes[k]
+        else:
+            rec = _run(plan, q)
+            modes = tuple(s.mode for s in rec.states)
+            route = known.setdefault(modes, _Route(modes, rec.terminal, rec.path))
+            traced.insert(k, q)
+            routes.insert(k, route)
+            yield route
+
+
+def _terminal_or_default(
+    net: Network, direction: str, terminal_state: Union[Ket, Bra, None]
+) -> Union[Ket, Bra]:
+    """``terminal_state``, or the entry ket on the network's single source."""
+    if terminal_state is not None:
+        return terminal_state
+    if direction != "forward":
+        raise TrajectoryError("reversed runs require an explicit terminal state")
+    if len(net.sources) != 1:
+        raise TrajectoryError("no default entry state: network has multiple sources")
+    return Ket({net.sources[0]: 1.0 + 0j})
+
+
 def run_trajectory(
     net: Network,
     q0: float,
@@ -357,13 +418,8 @@ def run_trajectory(
     empty-wave branches.  ``start_mode`` selects the particle's port when
     the terminal state occupies several.
     """
-    if terminal_state is None:
-        if direction != "forward":
-            raise TrajectoryError("reversed runs require an explicit terminal state")
-        if len(net.sources) != 1:
-            raise TrajectoryError("no default entry state: network has multiple sources")
-        terminal_state = Ket({net.sources[0]: 1.0 + 0j})
-    plan = _build_plan(net, direction, terminal_state, start_mode, rules)
+    plan = _build_plan(net, direction, _terminal_or_default(net, direction, terminal_state),
+                       start_mode, rules)
     return _run(plan, q0)
 
 
@@ -377,24 +433,22 @@ def run_ensemble(
     rules: RuleTable = DEFAULT_RULES,
 ) -> EnsembleStats:
     """Run many trajectories with quantiles drawn uniformly from derived
-    per-sample streams, and aggregate terminal and path statistics."""
+    per-sample streams, and aggregate terminal and path statistics.
+
+    Draws are classified by route (see module docstring); the result equals
+    transporting every draw with ``_run``.
+    """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if terminal_state is None:
-        if direction != "forward":
-            raise TrajectoryError("reversed runs require an explicit terminal state")
-        if len(net.sources) != 1:
-            raise TrajectoryError("no default entry state: network has multiple sources")
-        terminal_state = Ket({net.sources[0]: 1.0 + 0j})
-    plan = _build_plan(net, direction, terminal_state, start_mode, rules)
+    plan = _build_plan(net, direction, _terminal_or_default(net, direction, terminal_state),
+                       start_mode, rules)
     detector_counts: dict[str, int] = {}
     conditional: dict[str, dict[tuple[str, ...], int]] = {}
-    for i in range(samples):
-        q0 = derive_stream(seed, i).random()
-        rec = _run(plan, q0)
-        detector_counts[rec.terminal] = detector_counts.get(rec.terminal, 0) + 1
-        paths = conditional.setdefault(rec.terminal, {})
-        paths[rec.path] = paths.get(rec.path, 0) + 1
+    draws = (derive_stream(seed, i).random() for i in range(samples))
+    for route in _classify(plan, draws):
+        detector_counts[route.terminal] = detector_counts.get(route.terminal, 0) + 1
+        paths = conditional.setdefault(route.terminal, {})
+        paths[route.path] = paths.get(route.path, 0) + 1
     return EnsembleStats(
         samples=samples,
         seed=seed,

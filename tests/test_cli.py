@@ -75,6 +75,22 @@ def test_out_of_range_quantile_exits_6(capsys):
     assert code == 6
 
 
+def test_bohm_zero_samples_exits_6(capsys):
+    code, out, _ = run_cli(["bohm", "--preset", "--samples", "0"], capsys)
+    assert code == 6
+    assert out == ""
+
+
+def test_measure_zero_samples_exits_6(capsys):
+    code, out, _ = run_cli(
+        ["measure", "--system", "u:1,0", "--eigenbasis", "u", "--eigenvalues", "1",
+         "--samples", "0"],
+        capsys,
+    )
+    assert code == 6
+    assert out == ""
+
+
 def test_out_of_range_cut_exits_6(capsys):
     code, _, _ = run_cli(
         ["abl", "--preset", "--pre", "a:1,0", "--post", "g:1,0", "--cut", "9"], capsys

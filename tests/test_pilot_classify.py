@@ -1,0 +1,201 @@
+"""Ensembles classified by route against ensembles transported draw by draw.
+
+``run_ensemble`` transports only the draws that no two traced draws with the
+same route bracket (see the ``prepost.pilot`` module docstring).
+``reference_ensemble`` keeps the loop it replaced, which transports every
+draw ``derive_stream(seed, i).random()`` with ``_run``; the two must agree
+exactly, down to dict order and to the exception a failing draw raises.
+"""
+from __future__ import annotations
+
+import math
+import random
+
+import numpy as np
+import pytest
+
+from conftest import random_balanced_network
+from prepost.hilbert import Ket, adjoint, basis_bra, basis_ket
+from prepost.network import (
+    PRESET_DOUBLE_MZ,
+    Network,
+    build_network,
+    forward_chain,
+    preset_double_mz,
+)
+from prepost.pilot import (
+    DEFAULT_RULES,
+    EnsembleStats,
+    RuleTable,
+    TrajectoryError,
+    UnsupportedMergeError,
+    _build_plan,
+    _classify,
+    _run,
+    run_ensemble,
+)
+from prepost.rng import derive_stream
+
+RULES = (DEFAULT_RULES, RuleTable(reverse_on_bs_reflection=False))
+SEEDS = range(10)
+SIZES = (1, 3, 50, 2000)
+
+
+def reference_ensemble(net, samples, seed, direction="forward", terminal_state=None,
+                       start_mode=None, rules=DEFAULT_RULES):
+    """The per-draw loop: every draw is transported with ``_run``."""
+    if terminal_state is None:
+        terminal_state = Ket({net.sources[0]: 1.0 + 0j})
+    plan = _build_plan(net, direction, terminal_state, start_mode, rules)
+    detector_counts: dict[str, int] = {}
+    conditional: dict[str, dict[tuple[str, ...], int]] = {}
+    for i in range(samples):
+        rec = _run(plan, derive_stream(seed, i).random())
+        detector_counts[rec.terminal] = detector_counts.get(rec.terminal, 0) + 1
+        paths = conditional.setdefault(rec.terminal, {})
+        paths[rec.path] = paths.get(rec.path, 0) + 1
+    return EnsembleStats(
+        samples=samples,
+        seed=seed,
+        direction=direction,
+        detector_counts=detector_counts,
+        conditional_paths=conditional,
+        diagnostics=plan.diagnostics,
+    )
+
+
+def outcome(fn, *args, **kwargs) -> tuple[str, str]:
+    """``repr`` of the result, or the type and message of the exception."""
+    try:
+        return "ok", repr(fn(*args, **kwargs))
+    except (UnsupportedMergeError, TrajectoryError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def mz_cascade(rng: random.Random, splitters: int) -> Network:
+    """A chain of balanced beamsplitters on two rails fed from ``a``, with
+    seeded port orders and mirror stages (in place or relabelling)."""
+    rails, modes, stages = ["a", "b"], ["a", "b"], []
+
+    def fresh():
+        modes.append(f"c{len(modes)}")
+        return modes[-1]
+
+    for _ in range(splitters):
+        ins = list(rails)
+        rng.shuffle(ins)
+        rails = [fresh(), fresh()]
+        stages.append({"elements": [{"type": "beamsplitter", "in": ins, "out": rails}]})
+        if rng.random() < 0.5:
+            outs = [fresh() if rng.random() < 0.5 else m for m in rails]
+            stages.append({"elements": [{"type": "mirror", "in": m, "out": o}
+                                        for m, o in zip(rails, outs)]})
+            rails = outs
+    return build_network({"modes": modes, "sources": ["a"], "stages": stages,
+                          "detectors": {rails[0]: "G", rails[1]: "H"}})
+
+
+def cases(net: Network, all_ports: bool) -> list[tuple]:
+    """(direction, terminal state, start mode) runs of a two-rail chain:
+    forward, reversed with the full final functional (from every occupied
+    port, or the first), and reversed with a one-port functional (the
+    empty-wave case)."""
+    final = forward_chain(net, basis_ket(net.sources[0]))[-1]
+    occupied = sorted(m for m, a in final.entries.items() if abs(a) > 1e-12)
+    runs = [("forward", None, None)]
+    runs += [("reversed", adjoint(final), m) for m in (occupied if all_ports else occupied[:1])]
+    runs.append(("reversed", basis_bra(occupied[0]), None))
+    return runs
+
+
+# The preset under both reflection rules; cascades of 1-8 splitters under
+# alternating rules, which keeps the per-draw reference affordable.
+CHAINS = [("preset", preset_double_mz(), rules) for rules in RULES] + [
+    (f"cascade-{n}", mz_cascade(random.Random(f"cascade-{n}"), n), RULES[n % 2])
+    for n in range(1, 9)
+]
+CHAIN_IDS = [f"{name}-{'reverse' if rules is DEFAULT_RULES else 'preserve'}"
+             for name, _, rules in CHAINS]
+
+
+@pytest.mark.parametrize("name,net,rules", CHAINS, ids=CHAIN_IDS)
+def test_ensemble_equals_per_draw_transport(name, net, rules):
+    for direction, terminal, start_mode in cases(net, all_ports=name == "preset"):
+        for seed in SEEDS:
+            for samples in SIZES:
+                args = (net, samples, seed, direction, terminal, start_mode, rules)
+                assert outcome(run_ensemble, *args) == outcome(reference_ensemble, *args), (
+                    direction, seed, samples)
+
+
+@pytest.mark.parametrize("rules", RULES, ids=("reverse", "preserve"))
+def test_failing_draws_raise_as_per_draw_transport(rules):
+    # Balanced meshes fed on some of their rails: a draw raises when its
+    # route reaches a beamsplitter with unequal or non-interfering inputs,
+    # and on partly fed meshes only some routes do.
+    rng = np.random.default_rng(7)
+    kinds = set()
+    for _ in range(4):
+        net = random_balanced_network(rng, n_rails=3)
+        rails = list(net.live[0])
+        pair = sorted(str(m) for m in rng.choice(rails, size=2, replace=False))
+        supports = [rails, rails, pair, rails[:1]]
+        for n, support in enumerate(supports):
+            amps = np.ones(len(support)) if n == 1 else rng.normal(size=len(support))
+            ket = Ket({m: complex(a) for m, a in zip(support, amps / np.linalg.norm(amps))})
+            for seed in SEEDS:
+                for samples in SIZES:
+                    args = (net, samples, seed, "forward", ket, support[0], rules)
+                    expected = outcome(reference_ensemble, *args)
+                    assert outcome(run_ensemble, *args) == expected, (seed, samples)
+                    kinds.add(expected[0])
+    assert kinds == {"ok", "UnsupportedMergeError"}
+
+
+def test_large_preset_ensemble_equals_per_draw_transport():
+    net = preset_double_mz()
+    assert repr(run_ensemble(net, 100_000, 3)) == repr(reference_ensemble(net, 100_000, 3))
+
+
+def adversarial_quantiles(n_stages: int) -> list[float]:
+    """Quantiles where a rule switches branch or clamps: 0, the dyadic
+    rationals k/2^m for m <= n_stages (1/2 among them), their neighbours,
+    and the largest double below 1."""
+    points = {0.0, 1.0 - 2.0 ** -53}
+    denominator = 2 ** n_stages
+    for k in range(1, denominator):
+        q = k / denominator
+        points |= {math.nextafter(q, 0.0), q, math.nextafter(q, 1.0)}
+    return sorted(points)
+
+
+# Chains of at most 10 stages (up to 3 * 2^10 adversarial quantiles per
+# run), and the preset with one detector on both final arms: there routes
+# that differ only in the detected arm share (terminal, path), so only the
+# modes at every cut tell them apart.
+BOUNDARY_CHAINS = [(chain, i) for chain, i in zip(CHAINS, CHAIN_IDS) if chain[1].n_stages <= 10]
+BOUNDARY_CHAINS.append((
+    ("preset-one-detector",
+     build_network({**PRESET_DOUBLE_MZ, "detectors": {"g": "D", "h": "D"}}), DEFAULT_RULES),
+    "preset-one-detector-reverse",
+))
+
+
+@pytest.mark.parametrize("name,net,rules", [c for c, _ in BOUNDARY_CHAINS],
+                         ids=[i for _, i in BOUNDARY_CHAINS])
+def test_classification_at_branch_boundaries(name, net, rules):
+    rng = random.Random(f"{name}-{rules.reverse_on_bs_reflection}")
+    for direction, terminal, start_mode in cases(net, all_ports=True):
+        if terminal is None:
+            terminal = basis_ket(net.sources[0])
+        plan = _build_plan(net, direction, terminal, start_mode, rules)
+        adversarial = adversarial_quantiles(net.n_stages)
+        rng.shuffle(adversarial)
+        quantiles = []
+        for q in adversarial:
+            quantiles += [q, rng.random(), rng.random()]
+        for q, route in zip(quantiles, _classify(plan, quantiles), strict=True):
+            rec = _run(plan, q)
+            assert route.modes == tuple(s.mode for s in rec.states), q
+            assert (route.terminal, route.path) == (rec.terminal, rec.path), q
+
