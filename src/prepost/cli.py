@@ -11,9 +11,9 @@ kets; ``--post`` literals are postselection functionals (their conjugates
 are the postselected state's amplitudes).
 
 Exit codes: 0 success; 2 usage errors (unknown flags, missing arguments);
-3 configuration errors (missing or invalid network files); 4 computation
-errors (inconsistent selections, unsupported merge contexts, basis
-mismatches); 5 malformed state literals; 6 out-of-range parameters
+3 configuration errors (missing or invalid network or projector files);
+4 computation errors (inconsistent selections, unsupported merge contexts,
+basis mismatches); 5 malformed state literals; 6 out-of-range parameters
 (cuts, quantiles, sample counts).  Output is deterministic: identical
 invocations render byte-identical reports, with seeds echoed in the output.
 
@@ -29,23 +29,14 @@ import sys
 from dataclasses import dataclass, field
 
 from .demo import network_diagram, run_demo
-from .hilbert import (
-    BasisMismatchError,
-    Bra,
-    Ket,
-    make_projector,
-    state_json,
-    _sig12,
-)
-from .network import Network, NetworkConfigError, build_network, evolve, preset_double_mz
-from .pilot import RuleTable, TrajectoryError, UnsupportedMergeError, run_ensemble, run_trajectory
+from .hilbert import Bra, Ket, make_projector, state_json, _sig12
+from .network import (Network, NetworkConfigError, OutOfRangeError, build_network, evolve,
+                      preset_double_mz)
+from .pilot import RuleTable, run_ensemble, run_trajectory
 from .pointer import MeasurementSetup, measure_backward, measure_forward
 from .twotime import (
     CertaintyEntry,
-    IncompleteProjectorSetError,
-    InconsistentSelectionError,
     ProjectorSet,
-    UndefinedConditionalError,
     abl_distribution,
     certainty_report,
     two_state_at_cut,
@@ -62,10 +53,6 @@ EXIT_RANGE = 6
 
 class StateLiteralError(ValueError):
     """A state literal does not follow the mode:re,im;... grammar."""
-
-
-class OutOfRangeError(ValueError):
-    """A numeric parameter lies outside its documented range."""
 
 
 class ConfigFileError(ValueError):
@@ -125,28 +112,13 @@ def _normalized_bra(text: str, diagnostics: list[str]) -> Bra:
 
 
 def _load_network(args) -> Network:
-    if getattr(args, "preset", False):
-        return preset_double_mz()
-    path = getattr(args, "network", None)
-    if not path:
+    if not args.network:
         return preset_double_mz()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(args.network, "r", encoding="utf-8") as fh:
             return build_network(fh.read())
     except (OSError, NetworkConfigError) as exc:
-        raise ConfigFileError(f"network file {path!r}: {exc}") from exc
-
-
-def _check_cut(net: Network, cut: int) -> int:
-    if not 0 <= cut <= net.n_stages:
-        raise OutOfRangeError(f"cut {cut} out of range 0..{net.n_stages}")
-    return cut
-
-
-def _check_quantile(q: float) -> float:
-    if not 0.0 <= q < 1.0:
-        raise OutOfRangeError(f"quantile {q} out of range [0, 1)")
-    return q
+        raise ConfigFileError(f"network file {args.network!r}: {exc}") from exc
 
 
 def _projector_set(net: Network, cut: int, basis_arg: str) -> ProjectorSet:
@@ -158,20 +130,37 @@ def _projector_set(net: Network, cut: int, basis_arg: str) -> ProjectorSet:
             basis_file = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigFileError(f"projector file {basis_arg!r}: {exc}") from exc
+    records = basis_file.get("outcomes", []) if isinstance(basis_file, dict) else None
+    if not isinstance(records, list):
+        raise ConfigFileError(f"projector file {basis_arg!r}: expected an object with an "
+                              "'outcomes' list")
     outcomes = []
-    for rec in basis_file.get("outcomes", []):
+    for rec in records:
+        if not isinstance(rec, dict):
+            raise ConfigFileError("projector outcome must be an object")
         label = rec.get("label")
-        if not label:
+        if not isinstance(label, str) or not label:
             raise ConfigFileError("projector outcome lacks a label")
         if "modes" in rec:
-            proj = make_projector(set(rec["modes"]), basis=live)
+            modes = rec["modes"]
+            if not (isinstance(modes, list) and all(isinstance(m, str) for m in modes)):
+                raise ConfigFileError(f"outcome {label!r}: 'modes' must be a list of mode labels")
+            proj = make_projector(set(modes), basis=live)
         elif "ket" in rec:
-            ket = Ket({m: complex(re, im) for m, (re, im) in rec["ket"].items()})
-            proj = make_projector(ket.normalized(), basis=live)
+            ket = rec["ket"]
+            if not (isinstance(ket, dict) and all(_is_amplitude(a) for a in ket.values())):
+                raise ConfigFileError(f"outcome {label!r}: 'ket' must map modes to [re, im]")
+            proj = make_projector(
+                Ket({m: complex(re, im) for m, (re, im) in ket.items()}).normalized(), basis=live
+            )
         else:
             raise ConfigFileError(f"outcome {label!r} needs 'modes' or 'ket'")
         outcomes.append((label, proj))
     return ProjectorSet(tuple(outcomes))
+
+
+def _is_amplitude(pair) -> bool:
+    return isinstance(pair, list) and len(pair) == 2 and all(type(x) in (int, float) for x in pair)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +205,8 @@ def _exec_abl(args) -> Report:
         raise StateLiteralError("abl needs both --pre and --post")
     pre = _normalized_ket(args.pre, diagnostics)
     post = _normalized_bra(args.post, diagnostics)
-    cut = _check_cut(net, args.cut)
+    cut = args.cut
+    net.check_cut(cut)
     tsv = two_state_at_cut(net, pre, post, cut)
     outcomes = _projector_set(net, cut, args.basis)
     dist = abl_distribution(tsv, outcomes)
@@ -258,9 +248,8 @@ def _exec_bohm(args) -> Report:
             raise StateLiteralError("reversed runs need --post")
         terminal = _normalized_bra(args.post, diagnostics)
     if args.quantile is not None:
-        q0 = _check_quantile(args.quantile)
         rec = run_trajectory(
-            net, q0, args.direction, terminal, start_mode=args.start_mode, rules=rules
+            net, args.quantile, args.direction, terminal, start_mode=args.start_mode, rules=rules
         )
         payload = rec.to_json()
         payload["quantiles"] = [_sig12(q) for q in payload["quantiles"]]
@@ -275,8 +264,6 @@ def _exec_bohm(args) -> Report:
         diagnostics.extend(rec.diagnostics)
         return Report(payload=payload, text="\n".join(lines), diagnostics=diagnostics)
     samples = 1000 if args.samples is None else args.samples
-    if samples < 1:
-        raise OutOfRangeError("samples must be >= 1")
     stats = run_ensemble(
         net, samples, args.seed, args.direction, terminal, start_mode=args.start_mode, rules=rules
     )
@@ -303,15 +290,14 @@ def _exec_measure(args) -> Report:
     samples = 1 if args.samples is None else args.samples
     if samples < 1:
         raise OutOfRangeError("samples must be >= 1")
-    records = []
-    for i in range(samples):
-        seed_i = args.seed if samples == 1 else args.seed * 1000003 + i
-        if args.direction == "forward":
-            system = _normalized_ket(args.system, diagnostics if i == 0 else [])
-            records.append(measure_forward(setup, system, args.pointer, seed_i))
-        else:
-            system_bra = _normalized_bra(args.system, diagnostics if i == 0 else [])
-            records.append(measure_backward(setup, system_bra, args.pointer, seed_i))
+    if args.direction == "forward":
+        system, measure = _normalized_ket(args.system, diagnostics), measure_forward
+    else:
+        system, measure = _normalized_bra(args.system, diagnostics), measure_backward
+    records = [
+        measure(setup, system, args.pointer, args.seed if samples == 1 else args.seed * 1000003 + i)
+        for i in range(samples)
+    ]
     payload = {"records": [r.to_json() for r in records], "seed": args.seed}
     lines = [f"{args.direction} pointer measurements (seed {args.seed}):"]
     for r in records:
@@ -468,16 +454,7 @@ def main(argv=None) -> int:
     except (ConfigFileError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (
-        InconsistentSelectionError,
-        UndefinedConditionalError,
-        IncompleteProjectorSetError,
-        UnsupportedMergeError,
-        TrajectoryError,
-        BasisMismatchError,
-        NetworkConfigError,
-        ValueError,
-    ) as exc:
+    except ValueError as exc:  # every computation error subclasses ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
     sys.stdout.write(render(report))

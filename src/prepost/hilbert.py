@@ -43,10 +43,12 @@ def _pruned(entries: Mapping[str, complex]) -> dict[str, complex]:
 
 
 @dataclass(frozen=True)
-class Ket:
-    """Sparse state vector.  ``entries[label]`` is the amplitude of |label>."""
+class _State:
+    """Sparse map from basis labels to complex amplitudes, shared by
+    :class:`Ket` and :class:`Bra`; the two differ only in how they pair."""
 
     entries: dict[str, complex] = field(default_factory=dict)
+    _symbol = "{}"
 
     def __post_init__(self):
         object.__setattr__(self, "entries", _pruned(self.entries))
@@ -63,6 +65,18 @@ class Ket:
 
     def is_normalized(self, tol: float = DEFAULT_TOL) -> bool:
         return abs(self.norm() - 1.0) <= tol
+
+    def scaled(self, factor: complex) -> "_State":
+        return type(self)({m: factor * a for m, a in self.entries.items()})
+
+    def __str__(self) -> str:
+        return format_state(self.entries, self._symbol)
+
+
+class Ket(_State):
+    """Sparse state vector.  ``entries[label]`` is the amplitude of |label>."""
+
+    _symbol = "|{}⟩"
 
     def normalized(self) -> "Ket":
         n = self.norm()
@@ -70,47 +84,21 @@ class Ket:
             raise ValueError("cannot normalize a zero state")
         return Ket({m: a / n for m, a in self.entries.items()})
 
-    def scaled(self, factor: complex) -> "Ket":
-        return Ket({m: factor * a for m, a in self.entries.items()})
-
     def add(self, other: "Ket") -> "Ket":
         merged = dict(self.entries)
         for m, a in other.entries.items():
             merged[m] = merged.get(m, 0j) + a
         return Ket(merged)
 
-    def __str__(self) -> str:
-        return format_state(self.entries, "|{}⟩")
 
-
-@dataclass(frozen=True)
-class Bra:
+class Bra(_State):
     """Sparse linear functional.  Pairs with kets by plain contraction.
 
     ``adjoint(Bra(...))`` gives the ket this functional postselects on; its
     amplitudes are the conjugates of ``entries``.
     """
 
-    entries: dict[str, complex] = field(default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", _pruned(self.entries))
-
-    def __getitem__(self, label: str) -> complex:
-        return self.entries.get(label, 0j)
-
-    @property
-    def support(self) -> tuple[str, ...]:
-        return tuple(sorted(self.entries))
-
-    def norm(self) -> float:
-        return math.sqrt(sum(abs(a) ** 2 for a in self.entries.values()))
-
-    def is_normalized(self, tol: float = DEFAULT_TOL) -> bool:
-        return abs(self.norm() - 1.0) <= tol
-
-    def scaled(self, factor: complex) -> "Bra":
-        return Bra({m: factor * a for m, a in self.entries.items()})
+    _symbol = "⟨{}|"
 
     def pair(self, ket: Ket) -> complex:
         """Contraction <bra|ket>: sum over entries of bra[m] * ket[m]."""
@@ -118,9 +106,6 @@ class Bra:
             (a * ket.entries[m] for m, a in sorted(self.entries.items()) if m in ket.entries),
             0j,
         )
-
-    def __str__(self) -> str:
-        return format_state(self.entries, "⟨{}|")
 
 
 @dataclass(frozen=True)
@@ -187,17 +172,11 @@ def adjoint(x: Union[Ket, Bra, LinearOp]) -> Union[Bra, Ket, LinearOp]:
     between a ket and the functional that projects onto it, so
     ``adjoint(k).pair(k) == k.norm()**2``.
     """
-    if isinstance(x, Ket):
-        return Bra({m: a.conjugate() for m, a in x.entries.items()})
-    if isinstance(x, Bra):
-        return Ket({m: a.conjugate() for m, a in x.entries.items()})
-    if isinstance(x, Projector):
-        return Projector(
-            x.out_basis, x.in_basis,
-            {(c, r): a.conjugate() for (r, c), a in x.entries.items()},
-        )
+    if isinstance(x, _State):
+        dual = Bra if isinstance(x, Ket) else Ket
+        return dual({m: a.conjugate() for m, a in x.entries.items()})
     if isinstance(x, LinearOp):
-        return LinearOp(
+        return type(x)(
             x.out_basis, x.in_basis,
             {(c, r): a.conjugate() for (r, c), a in x.entries.items()},
         )

@@ -42,6 +42,10 @@ class NetworkConfigError(ValueError):
     """A network description violates the structural rules."""
 
 
+class OutOfRangeError(ValueError):
+    """A cut, quantile or sample count lies outside its documented range."""
+
+
 class DuplicateModeError(NetworkConfigError):
     """A mode appears in more than one element of a single stage."""
 
@@ -103,13 +107,9 @@ class Network:
     def n_cuts(self) -> int:
         return len(self.stages) + 1
 
-    def live_modes(self, cut: int) -> tuple[str, ...]:
-        self.check_cut(cut)
-        return self.live[cut]
-
     def check_cut(self, cut: int) -> None:
         if not isinstance(cut, int) or not 0 <= cut <= self.n_stages:
-            raise ValueError(f"cut {cut!r} out of range 0..{self.n_stages}")
+            raise OutOfRangeError(f"cut {cut!r} out of range 0..{self.n_stages}")
 
     def element_counts(self) -> dict[str, int]:
         counts = {k: 0 for k in ELEMENT_KINDS}
@@ -152,7 +152,7 @@ def build_network(config: Union[str, Mapping]) -> Network:
     if not isinstance(config.get("sources", []), (list, tuple)):
         raise NetworkConfigError("'sources' must be a list of modes")
 
-    modes = tuple(config["modes"])
+    modes = _labels(config["modes"], "'modes'")
     if len(set(modes)) != len(modes):
         raise NetworkConfigError("duplicate labels in 'modes'")
 
@@ -182,31 +182,35 @@ def build_network(config: Union[str, Mapping]) -> Network:
         )
 
     sources = config.get("sources")
+    if sources is not None:
+        sources = _labels(sources, "'sources'")
     return _validate(modes, tuple(stages), detectors, sources)
+
+
+def _labels(values, where: str) -> tuple[str, ...]:
+    labels = tuple(values)
+    for m in labels:
+        if not isinstance(m, str):
+            raise NetworkConfigError(f"{where}: mode label {m!r} is not a string")
+    return labels
 
 
 def _parse_element(rec: Mapping, stage_index: int) -> Element:
     if not isinstance(rec, Mapping) or "type" not in rec:
         raise NetworkConfigError(f"element in stage {stage_index} lacks 'type'")
     kind = rec["type"]
-    if kind == "beamsplitter":
-        allowed = {"type", "in", "out"}
-        if set(rec) - allowed:
-            raise NetworkConfigError(
-                f"unknown keys in beamsplitter record: {sorted(set(rec) - allowed)}"
-            )
-        ins, outs = rec.get("in"), rec.get("out")
-        if not (isinstance(ins, (list, tuple)) and isinstance(outs, (list, tuple))):
-            raise NetworkConfigError("beamsplitter 'in'/'out' must be two-element lists")
-        return Element("beamsplitter", tuple(ins), tuple(outs))
+    if kind not in ("beamsplitter", "mirror"):
+        raise NetworkConfigError(f"unknown element type {kind!r} in stage {stage_index}")
+    unknown = set(rec) - {"type", "in", "out"}
+    if unknown:
+        raise NetworkConfigError(f"unknown keys in {kind} record: {sorted(unknown)}")
+    ins, outs = rec.get("in"), rec.get("out")
     if kind == "mirror":
-        allowed = {"type", "in", "out"}
-        if set(rec) - allowed:
-            raise NetworkConfigError(
-                f"unknown keys in mirror record: {sorted(set(rec) - allowed)}"
-            )
-        return Element("mirror", (rec.get("in"),), (rec.get("out"),))
-    raise NetworkConfigError(f"unknown element type {kind!r} in stage {stage_index}")
+        ins, outs = (ins,), (outs,)
+    elif not (isinstance(ins, (list, tuple)) and isinstance(outs, (list, tuple))):
+        raise NetworkConfigError("beamsplitter 'in'/'out' must be two-element lists")
+    where = f"{kind} in stage {stage_index}"
+    return Element(kind, _labels(ins, where), _labels(outs, where))
 
 
 def _validate(
@@ -342,7 +346,7 @@ def stage_unitary(net: Network, stage: int) -> LinearOp:
     carry unit amplitude; untouched live modes pass through unchanged.
     """
     if not 0 <= stage < net.n_stages:
-        raise ValueError(f"stage {stage!r} out of range 0..{net.n_stages - 1}")
+        raise OutOfRangeError(f"stage {stage!r} out of range 0..{net.n_stages - 1}")
     cached = net._unitaries.get(stage)
     if cached is not None:
         return cached

@@ -50,7 +50,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
 from .hilbert import Bra, Ket
-from .network import BS_REFLECT, BS_TRANSMIT, Element, Network, backward_chain, forward_chain
+from .network import (BS_REFLECT, BS_TRANSMIT, Element, Network, OutOfRangeError,
+                      backward_chain, forward_chain)
 from .rng import derive_stream
 
 OCCUPANCY_TOL = 1e-12
@@ -190,10 +191,10 @@ def element_transfer(
     _check_quantile(quantile)
     rules = context.rules
     if element.kind == "mirror":
-        ports = _oriented_ports(element, context.direction)
-        if mode != ports["ins"][0]:
+        ins, outs = _oriented_ports(element, context.direction)
+        if mode != ins[0]:
             raise TrajectoryError(f"particle on {mode!r} is not at this mirror")
-        return ports["outs"][0], rules.mirror(quantile)
+        return outs[0], rules.mirror(quantile)
     if element.kind == "detector":
         if mode != element.ins[0]:
             raise TrajectoryError(f"particle on {mode!r} is not at this detector")
@@ -201,8 +202,7 @@ def element_transfer(
     if element.kind != "beamsplitter":
         raise TrajectoryError(f"no transfer rule for element kind {element.kind!r}")
 
-    ports = _oriented_ports(element, context.direction)
-    (p_in0, p_in1), (p_out0, p_out1) = ports["ins"], ports["outs"]
+    (p_in0, p_in1), (p_out0, p_out1) = _oriented_ports(element, context.direction)
     if mode not in (p_in0, p_in1):
         raise TrajectoryError(f"particle on {mode!r} is not an input of this beamsplitter")
     amp0, amp1 = context.amplitudes.get(p_in0, 0j), context.amplitudes.get(p_in1, 0j)
@@ -235,15 +235,16 @@ def element_transfer(
     return (transmit_to, q_new) if route == "transmit" else (reflect_to, q_new)
 
 
-def _oriented_ports(element: Element, direction: str) -> dict[str, tuple[str, ...]]:
+def _oriented_ports(element: Element, direction: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """``(ins, outs)`` of the element in the traversal direction."""
     if direction == "forward":
-        return {"ins": element.ins, "outs": element.outs}
-    return {"ins": element.outs, "outs": element.ins}
+        return element.ins, element.outs
+    return element.outs, element.ins
 
 
 def _check_quantile(q: float) -> None:
     if not (isinstance(q, (int, float)) and 0.0 <= q < 1.0):
-        raise ValueError(f"quantile must lie in [0, 1), got {q!r}")
+        raise OutOfRangeError(f"quantile must lie in [0, 1), got {q!r}")
 
 
 @dataclass(frozen=True)
@@ -252,7 +253,6 @@ class _Plan:
 
     direction: str
     cuts: tuple[int, ...]          # cut sequence in traversal order
-    stage_order: tuple[int, ...]   # stage indices in traversal order
     contexts: tuple[TransferContext, ...]
     elements: tuple[tuple[Element, ...], ...]
     start_mode: str
@@ -313,19 +313,14 @@ def _build_plan(
             f"start mode {start_mode!r} carries no amplitude in the terminal state"
         )
 
-    contexts = []
-    elements = []
-    for pos, stage_idx in enumerate(stage_order):
-        entering_cut = cuts[pos]
-        amps = chain[entering_cut].entries
-        contexts.append(TransferContext(dict(amps), direction=direction, rules=rules))
-        elements.append(net.stages[stage_idx])
     return _Plan(
         direction=direction,
         cuts=cuts,
-        stage_order=stage_order,
-        contexts=tuple(contexts),
-        elements=tuple(elements),
+        contexts=tuple(
+            TransferContext(dict(chain[cut].entries), direction=direction, rules=rules)
+            for cut in cuts[:-1]
+        ),
+        elements=tuple(net.stages[k] for k in stage_order),
         start_mode=start_mode,
         terminal_names=terminal_names,
         diagnostics=diagnostics,
@@ -333,20 +328,14 @@ def _build_plan(
 
 
 def _run(plan: _Plan, q0: float) -> TrajectoryRecord:
-    _check_quantile(q0)
     mode, q = plan.start_mode, q0
     states = [ParticleState(mode=mode, quantile=q, cut=plan.cuts[0])]
-    for pos in range(len(plan.stage_order)):
-        context = plan.contexts[pos]
-        element = None
-        for el in plan.elements[pos]:
-            ports = _oriented_ports(el, plan.direction)
-            if mode in ports["ins"]:
-                element = el
+    for context, stage, cut in zip(plan.contexts, plan.elements, plan.cuts[1:]):
+        for el in stage:
+            if mode in _oriented_ports(el, plan.direction)[0]:
+                mode, q = element_transfer(el, mode, q, context)
                 break
-        if element is not None:
-            mode, q = element_transfer(element, mode, q, context)
-        states.append(ParticleState(mode=mode, quantile=q, cut=plan.cuts[pos + 1]))
+        states.append(ParticleState(mode=mode, quantile=q, cut=cut))
     terminal = plan.terminal_names.get(mode, mode)
     return TrajectoryRecord(
         direction=plan.direction,
@@ -418,6 +407,7 @@ def run_trajectory(
     empty-wave branches.  ``start_mode`` selects the particle's port when
     the terminal state occupies several.
     """
+    _check_quantile(q0)
     plan = _build_plan(net, direction, _terminal_or_default(net, direction, terminal_state),
                        start_mode, rules)
     return _run(plan, q0)
@@ -439,7 +429,7 @@ def run_ensemble(
     transporting every draw with ``_run``.
     """
     if samples < 1:
-        raise ValueError("samples must be >= 1")
+        raise OutOfRangeError("samples must be >= 1")
     plan = _build_plan(net, direction, _terminal_or_default(net, direction, terminal_state),
                        start_mode, rules)
     detector_counts: dict[str, int] = {}

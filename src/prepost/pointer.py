@@ -52,13 +52,6 @@ class MeasurementSetup:
 
 
 @dataclass(frozen=True)
-class PointerState:
-    """A pointer with a definite position (preparation and readout form)."""
-
-    q: float
-
-
-@dataclass(frozen=True)
 class MeasurementRecord:
     """One measurement: readings, deduced eigenvalue, collapsed system state."""
 
@@ -120,18 +113,7 @@ def measure_forward(
     The outcome is sampled with probability |amplitude|^2 from the system's
     expansion in the eigenbasis, using the substream derived from (seed, 0).
     """
-    weights = _weights(system, setup)
-    idx = derive_stream(seed, 0).choice_index(weights)
-    label = setup.eigenbasis[idx]
-    value = setup.eigenvalues[idx]
-    return MeasurementRecord(
-        direction="forward",
-        q_initial=q1,
-        q_final=q1 + value,
-        deduced=value,
-        collapsed=basis_ket(label),
-        seed=seed,
-    )
+    return _measure(setup, system, q1, seed, "forward")
 
 
 def measure_backward(
@@ -141,18 +123,25 @@ def measure_backward(
 
     The reverse chain shifts the pointer down by the eigenvalue, so
     q1 = q2 - value and the deduced eigenvalue is q2 - q1, exactly as in the
-    forward direction.
+    forward direction.  Sampling is as in :func:`measure_forward`.
     """
+    return _measure(setup, system, q2, seed, "backward")
+
+
+def _measure(
+    setup: MeasurementSetup, system: Union[Ket, Bra], q_start: float, seed: int, direction: str
+) -> MeasurementRecord:
     weights = _weights(system, setup)
     idx = derive_stream(seed, 0).choice_index(weights)
     label = setup.eigenbasis[idx]
     value = setup.eigenvalues[idx]
+    forward = direction == "forward"
     return MeasurementRecord(
-        direction="backward",
-        q_initial=q2,
-        q_final=q2 - value,
+        direction=direction,
+        q_initial=q_start,
+        q_final=q_start + value if forward else q_start - value,
         deduced=value,
-        collapsed=basis_bra(label),
+        collapsed=basis_ket(label) if forward else basis_bra(label),
         seed=seed,
     )
 

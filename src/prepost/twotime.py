@@ -103,9 +103,6 @@ class ProjectorSet:
 
     outcomes: tuple[tuple[str, Projector], ...]
 
-    def labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.outcomes)
-
     def validate(self, basis: tuple[str, ...], tol: float = DEFAULT_TOL) -> None:
         total = None
         ops = [p for _, p in self.outcomes]

@@ -98,6 +98,27 @@ def test_out_of_range_cut_exits_6(capsys):
     assert code == 6
 
 
+def test_out_of_range_quantile_exits_6_before_the_source_check(tmp_path, capsys):
+    # Trajectories on a two-source network fail with exit 4; the range
+    # check on the quantile comes first.
+    two_sources = dict(PRESET_DOUBLE_MZ, sources=["a", "b"])
+    path = tmp_path / "two_sources.json"
+    path.write_text(json.dumps(two_sources), encoding="utf-8")
+    code, out, _ = run_cli(["bohm", "--network", str(path), "--quantile", "0.5"], capsys)
+    assert code == 4
+    code, out, _ = run_cli(["bohm", "--network", str(path), "--quantile", "1.5"], capsys)
+    assert code == 6
+    assert out == ""
+
+
+def test_negative_cut_exits_6(capsys):
+    code, out, _ = run_cli(
+        ["abl", "--preset", "--pre", "a:1,0", "--post", "g:1,0", "--cut", "-1"], capsys
+    )
+    assert code == 6
+    assert out == ""
+
+
 def test_missing_network_file_exits_3(capsys):
     code, _, _ = run_cli(["evolve", "--network", "missing.json", "--pre", "a:1,0"], capsys)
     assert code == 3
@@ -108,6 +129,61 @@ def test_invalid_network_file_exits_3(tmp_path, capsys):
     bad.write_text('{"modes": ["a"], "stages": [], "wat": 1}', encoding="utf-8")
     code, _, _ = run_cli(["evolve", "--network", str(bad), "--pre", "a:1,0"], capsys)
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "network",
+    [
+        dict(PRESET_DOUBLE_MZ, modes=["a", "b", ["c"], "d", "e", "f", "g", "h"]),
+        dict(PRESET_DOUBLE_MZ, sources=[["a"]]),
+        dict(PRESET_DOUBLE_MZ, stages=[
+            {"elements": [{"type": "beamsplitter", "in": ["a", "b"], "out": [["c"], "d"]}]},
+            *PRESET_DOUBLE_MZ["stages"][1:],
+        ]),
+        dict(PRESET_DOUBLE_MZ, stages=[
+            PRESET_DOUBLE_MZ["stages"][0],
+            {"elements": [{"type": "mirror", "in": ["c"], "out": "c"},
+                          {"type": "mirror", "in": "d", "out": "d"}]},
+            *PRESET_DOUBLE_MZ["stages"][2:],
+        ]),
+    ],
+    ids=["mode", "source", "beamsplitter-port", "mirror-port"],
+)
+def test_non_string_network_label_exits_3(tmp_path, capsys, network):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(network), encoding="utf-8")
+    code, out, err = run_cli(["evolve", "--network", str(path), "--pre", "a:1,0"], capsys)
+    assert (code, out) == (3, "")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "basis_file",
+    [
+        [{"label": "c", "modes": ["c"]}, {"label": "d", "modes": ["d"]}],
+        {"outcomes": 5},
+        {"outcomes": ["c", "d"]},
+        {"outcomes": [{"label": ["c"], "modes": ["c"]}]},
+        {"outcomes": [{"label": "c", "modes": "c"}, {"label": "d", "modes": ["d"]}]},
+        {"outcomes": [{"label": "c", "modes": [["c"]]}, {"label": "d", "modes": ["d"]}]},
+        {"outcomes": [{"label": "x", "ket": {"c": [1.0]}}]},
+        {"outcomes": [{"label": "x", "ket": {"c": ["1", "0"]}}]},
+        {"outcomes": [{"label": "x", "ket": {"c": [[1], 0]}}]},
+        {"outcomes": [{"label": "x", "ket": [["c", 1, 0]]}]},
+    ],
+    ids=["top-list", "outcomes-number", "outcome-string", "label-list", "modes-string",
+         "modes-nested", "ket-one-number", "ket-strings", "ket-nested", "ket-list"],
+)
+def test_malformed_projector_file_exits_3(tmp_path, capsys, basis_file):
+    path = tmp_path / "basis.json"
+    path.write_text(json.dumps(basis_file), encoding="utf-8")
+    code, out, err = run_cli(
+        ["abl", "--preset", "--pre", "a:1,0", "--post", "g:1,0", "--cut", "1",
+         "--basis", str(path)],
+        capsys,
+    )
+    assert (code, out) == (3, "")
+    assert "Traceback" not in err
 
 
 def test_state_on_non_live_mode_exits_4(capsys):

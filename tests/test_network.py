@@ -25,6 +25,7 @@ from prepost.hilbert import (
 from prepost.network import (
     DuplicateModeError,
     NetworkConfigError,
+    OutOfRangeError,
     PRESET_DOUBLE_MZ,
     UnbalancedArmsError,
     UnknownModeError,
@@ -34,6 +35,7 @@ from prepost.network import (
     preset_double_mz,
     stage_unitary,
 )
+from prepost.pilot import run_ensemble, run_trajectory
 
 
 @pytest.fixture(scope="module")
@@ -346,3 +348,28 @@ def test_produced_while_live_rejected():
     )
     with pytest.raises(UnknownModeError, match="produced while still live"):
         build_network(cfg)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        _config([], modes=["a", ["b"]]),
+        _config([{"elements": [{"type": "mirror", "in": "a", "out": "c"}]}], sources=[["a"]]),
+        _config([{"elements": [{"type": "mirror", "in": ["a"], "out": "c"}]}]),
+        _config([{"elements": [{"type": "beamsplitter", "in": ["a", "b"], "out": ["c", 4]}]}]),
+    ],
+    ids=["modes", "sources", "mirror-port", "beamsplitter-port"],
+)
+def test_non_string_labels_rejected(cfg):
+    with pytest.raises(NetworkConfigError, match="not a string"):
+        build_network(cfg)
+
+
+def test_range_checks_raise_the_shared_out_of_range_error(net):
+    assert issubclass(OutOfRangeError, ValueError)
+    with pytest.raises(OutOfRangeError, match="cut 99"):
+        net.check_cut(99)
+    with pytest.raises(OutOfRangeError, match="quantile"):
+        run_trajectory(net, 1.5)
+    with pytest.raises(OutOfRangeError, match="samples"):
+        run_ensemble(net, 0, 0)
