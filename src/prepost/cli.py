@@ -29,9 +29,9 @@ import sys
 from dataclasses import dataclass, field
 
 from .demo import network_diagram, run_demo
-from .hilbert import Bra, Ket, make_projector, state_json, _sig12
-from .network import (Network, NetworkConfigError, OutOfRangeError, build_network, evolve,
-                      preset_double_mz)
+from .hilbert import Bra, Ket, Projector, make_projector, state_json, _sig12
+from .network import (Network, NetworkConfigError, OutOfRangeError, backward_chain,
+                      build_network, forward_chain, preset_double_mz)
 from .pilot import RuleTable, run_ensemble, run_trajectory
 from .pointer import MeasurementSetup, measure_backward, measure_forward
 from .twotime import (
@@ -134,29 +134,32 @@ def _projector_set(net: Network, cut: int, basis_arg: str) -> ProjectorSet:
     if not isinstance(records, list):
         raise ConfigFileError(f"projector file {basis_arg!r}: expected an object with an "
                               "'outcomes' list")
-    outcomes = []
-    for rec in records:
-        if not isinstance(rec, dict):
-            raise ConfigFileError("projector outcome must be an object")
-        label = rec.get("label")
-        if not isinstance(label, str) or not label:
-            raise ConfigFileError("projector outcome lacks a label")
-        if "modes" in rec:
-            modes = rec["modes"]
-            if not (isinstance(modes, list) and all(isinstance(m, str) for m in modes)):
-                raise ConfigFileError(f"outcome {label!r}: 'modes' must be a list of mode labels")
-            proj = make_projector(set(modes), basis=live)
-        elif "ket" in rec:
-            ket = rec["ket"]
-            if not (isinstance(ket, dict) and all(_is_amplitude(a) for a in ket.values())):
-                raise ConfigFileError(f"outcome {label!r}: 'ket' must map modes to [re, im]")
-            proj = make_projector(
-                Ket({m: complex(re, im) for m, (re, im) in ket.items()}).normalized(), basis=live
-            )
-        else:
-            raise ConfigFileError(f"outcome {label!r} needs 'modes' or 'ket'")
-        outcomes.append((label, proj))
-    return ProjectorSet(tuple(outcomes))
+    try:
+        return ProjectorSet(tuple(_outcome(rec, live) for rec in records))
+    except ConfigFileError:
+        raise
+    except (ValueError, OverflowError) as exc:  # e.g. an empty or zero-norm projector
+        raise ConfigFileError(f"projector file {basis_arg!r}: {exc}") from exc
+
+
+def _outcome(rec, live: tuple[str, ...]) -> tuple[str, Projector]:
+    if not isinstance(rec, dict):
+        raise ConfigFileError("projector outcome must be an object")
+    label = rec.get("label")
+    if not isinstance(label, str) or not label:
+        raise ConfigFileError("projector outcome lacks a label")
+    if "modes" in rec:
+        modes = rec["modes"]
+        if not (isinstance(modes, list) and all(isinstance(m, str) for m in modes)):
+            raise ConfigFileError(f"outcome {label!r}: 'modes' must be a list of mode labels")
+        return label, make_projector(set(modes), basis=live)
+    if "ket" in rec:
+        ket = rec["ket"]
+        if not (isinstance(ket, dict) and all(_is_amplitude(a) for a in ket.values())):
+            raise ConfigFileError(f"outcome {label!r}: 'ket' must map modes to [re, im]")
+        amps = {m: complex(re, im) for m, (re, im) in ket.items()}
+        return label, make_projector(Ket(amps).normalized(), basis=live)
+    raise ConfigFileError(f"outcome {label!r} needs 'modes' or 'ket'")
 
 
 def _is_amplitude(pair) -> bool:
@@ -175,11 +178,9 @@ def _exec_evolve(args) -> Report:
     lines = ["per-cut states"]
     pre_chain = post_chain = None
     if args.pre:
-        pre = _normalized_ket(args.pre, diagnostics)
-        pre_chain = [evolve(net, pre, 0, k) for k in range(net.n_cuts)]
+        pre_chain = forward_chain(net, _normalized_ket(args.pre, diagnostics))
     if args.post:
-        post = _normalized_bra(args.post, diagnostics)
-        post_chain = [evolve(net, post, net.n_stages, k) for k in range(net.n_cuts)]
+        post_chain = backward_chain(net, _normalized_bra(args.post, diagnostics))
     for k in range(net.n_cuts):
         rec: dict = {"cut": k}
         parts = [f"cut {k}:"]

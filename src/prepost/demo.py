@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .hilbert import Bra, Ket, adjoint, basis_bra, basis_ket, states_close
-from .network import Network, evolve, forward_chain, preset_double_mz
+from .network import Network, backward_chain, evolve, forward_chain, preset_double_mz
 from .pilot import EMPTY_WAVE_DIAGNOSTIC, run_ensemble, run_trajectory
 from .pointer import MeasurementSetup, decode_reading, measure_backward, measure_forward
 from .twotime import (
@@ -59,19 +59,16 @@ def _forward_chain_item(net: Network) -> DemoItem:
 def _backward_chain_item(net: Network) -> DemoItem:
     # The backward-traveling state's amplitudes are the conjugates of the
     # evolved functional's entries, i.e. adjoint(bra).
-    post = basis_bra("g")
-    state4 = adjoint(evolve(net, post, 6, 4))
-    state2 = adjoint(evolve(net, post, 6, 2))
-    state0 = adjoint(evolve(net, post, 6, 0))
+    chain = [adjoint(bra) for bra in backward_chain(net, basis_bra("g"))]
     ok = (
-        states_close(state4, Ket({"f": _S, "e": -1j * _S}), TOL)
-        and states_close(state2, Ket({"d": -1j}), TOL)
-        and states_close(state0, Ket({"a": -_S, "b": -1j * _S}), TOL)
+        states_close(chain[4], Ket({"f": _S, "e": -1j * _S}), TOL)
+        and states_close(chain[2], Ket({"d": -1j}), TOL)
+        and states_close(chain[0], Ket({"a": -_S, "b": -1j * _S}), TOL)
     )
     return _item(
         "backward-chain",
         ok,
-        f"g <- {state4} <- {state2} <- {state0}",
+        f"g <- {chain[4]} <- {chain[2]} <- {chain[0]}",
     )
 
 

@@ -164,10 +164,10 @@ def build_network(config: Union[str, Mapping]) -> Network:
             raise NetworkConfigError(
                 f"unknown keys in stage {i}: {sorted(set(stage_rec) - {'elements'})}"
             )
-        elements = []
-        for rec in stage_rec.get("elements", []):
-            elements.append(_parse_element(rec, i))
-        stages.append(tuple(elements))
+        records = stage_rec.get("elements", [])
+        if not isinstance(records, (list, tuple)):
+            raise NetworkConfigError(f"stage {i}: 'elements' must be a list of element records")
+        stages.append(tuple(_parse_element(rec, i) for rec in records))
 
     detectors = dict(config.get("detectors", {}))
     for mode, name in detectors.items():
@@ -297,10 +297,6 @@ def _validate(
             live_since[m] = k + 1
         live_per_cut.append(tuple(sorted(live)))
 
-    for mode in detectors:
-        if mode not in live_per_cut[-1]:
-            raise UnknownModeError(f"detector mode {mode!r} is not live at the final cut")
-
     return Network(
         modes=modes,
         stages=stages,
@@ -374,6 +370,38 @@ def stage_unitary(net: Network, stage: int) -> LinearOp:
     return op
 
 
+def _traverse(
+    net: Network,
+    state: Union[Ket, Bra],
+    frm: int,
+    to: int,
+) -> list[Union[Ket, Bra]]:
+    """The state at every cut from ``frm`` to ``to``, in traversal order (see :func:`evolve`)."""
+    net.check_cut(frm)
+    net.check_cut(to)
+    outside = set(state.entries) - set(net.live[frm])
+    if outside:
+        raise UnknownModeError(
+            f"state supported on {sorted(outside)} which are not live at cut {frm}"
+        )
+    if isinstance(state, Ket):
+        if frm > to:
+            raise ValueError("kets evolve forward: need frm <= to")
+        stages = range(frm, to)
+    elif isinstance(state, Bra):
+        if frm < to:
+            raise ValueError("bras evolve backward: need frm >= to")
+        stages = range(frm - 1, to - 1, -1)
+    else:
+        raise TypeError(f"cannot evolve {type(state).__name__}")
+    states = [state]
+    for k in stages:
+        op = stage_unitary(net, k)
+        states.append(apply(op, states[-1]) if isinstance(state, Ket)
+                      else apply_dual(states[-1], op))
+    return states
+
+
 def evolve(
     net: Network,
     state: Union[Ket, Bra],
@@ -386,41 +414,14 @@ def evolve(
     compose on the right with each stage unitary, so the pairing with any
     forward-evolved ket is the same at every cut.
     """
-    net.check_cut(frm)
-    net.check_cut(to)
-    allowed = set(net.live[frm])
-    outside = set(state.entries) - allowed
-    if outside:
-        raise UnknownModeError(
-            f"state supported on {sorted(outside)} which are not live at cut {frm}"
-        )
-    if isinstance(state, Ket):
-        if frm > to:
-            raise ValueError("kets evolve forward: need frm <= to")
-        for k in range(frm, to):
-            state = apply(stage_unitary(net, k), state)
-        return state
-    if isinstance(state, Bra):
-        if frm < to:
-            raise ValueError("bras evolve backward: need frm >= to")
-        for k in range(frm - 1, to - 1, -1):
-            state = apply_dual(state, stage_unitary(net, k))
-        return state
-    raise TypeError(f"cannot evolve {type(state).__name__}")
+    return _traverse(net, state, frm, to)[-1]
 
 
 def forward_chain(net: Network, pre: Ket) -> list[Ket]:
     """The pre state at every cut 0..n."""
-    states = [pre]
-    for k in range(net.n_stages):
-        states.append(apply(stage_unitary(net, k), states[-1]))
-    return states
+    return _traverse(net, pre, 0, net.n_stages)
 
 
 def backward_chain(net: Network, post: Bra) -> list[Bra]:
     """The post functional at every cut 0..n (index = cut)."""
-    states = [post]
-    for k in range(net.n_stages - 1, -1, -1):
-        states.append(apply_dual(states[-1], stage_unitary(net, k)))
-    states.reverse()
-    return states
+    return _traverse(net, post, net.n_stages, 0)[::-1]

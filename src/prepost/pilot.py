@@ -271,37 +271,26 @@ def _build_plan(
         raise ValueError(f"direction must be 'forward' or 'reversed', got {direction!r}")
     if not terminal_state.entries:
         raise TrajectoryError("terminal state carries no amplitude")
-    if direction == "forward":
-        if not isinstance(terminal_state, Ket):
-            raise TrajectoryError("forward runs start from a ket at the entry cut")
-        chain = forward_chain(net, terminal_state)
-        stage_order = tuple(range(net.n_stages))
-        cuts = tuple(range(net.n_cuts))
-        terminal_names = dict(net.detectors)
-        diagnostics: tuple[str, ...] = ()
-        entry_amps = chain[0].entries
-    else:
-        if not isinstance(terminal_state, Bra):
-            raise TrajectoryError("reversed runs start from a functional at the final cut")
-        chain = backward_chain(net, terminal_state)
-        stage_order = tuple(range(net.n_stages - 1, -1, -1))
-        cuts = tuple(range(net.n_stages, -1, -1))
-        terminal_names = {}
-        entry_amps = chain[net.n_stages].entries
+    forward = direction == "forward"
+    if not isinstance(terminal_state, Ket if forward else Bra):
+        raise TrajectoryError("forward runs start from a ket at the entry cut" if forward
+                              else "reversed runs start from a functional at the final cut")
+    chain = (forward_chain if forward else backward_chain)(net, terminal_state)
+    cuts = tuple(range(net.n_cuts) if forward else range(net.n_stages, -1, -1))
+    diagnostics: tuple[str, ...] = ()
+    if not forward:
         scale = max(abs(a) for a in terminal_state.entries.values())
         leaked = [
             m
             for m, a in sorted(chain[0].entries.items())
             if m not in net.sources and abs(a) > OCCUPANCY_TOL * scale
         ]
-        diagnostics = (
-            (f"{EMPTY_WAVE_DIAGNOSTIC} (terminal state reaches non-source ports "
-             f"{leaked} at cut 0)",)
-            if leaked
-            else ()
-        )
+        if leaked:
+            diagnostics = (f"{EMPTY_WAVE_DIAGNOSTIC} (terminal state reaches non-source ports "
+                           f"{leaked} at cut 0)",)
 
-    occupied_entry = [m for m, a in sorted(entry_amps.items()) if abs(a) > OCCUPANCY_TOL]
+    occupied_entry = [m for m, a in sorted(chain[cuts[0]].entries.items())
+                      if abs(a) > OCCUPANCY_TOL]
     if start_mode is None:
         if len(occupied_entry) != 1:
             raise TrajectoryError(
@@ -320,9 +309,9 @@ def _build_plan(
             TransferContext(dict(chain[cut].entries), direction=direction, rules=rules)
             for cut in cuts[:-1]
         ),
-        elements=tuple(net.stages[k] for k in stage_order),
+        elements=tuple(net.stages[min(a, b)] for a, b in zip(cuts, cuts[1:])),
         start_mode=start_mode,
-        terminal_names=terminal_names,
+        terminal_names=dict(net.detectors) if forward else {},
         diagnostics=diagnostics,
     )
 

@@ -34,7 +34,7 @@ from .hilbert import (
     make_projector,
     op_close,
 )
-from .network import Network, build_network, evolve
+from .network import Network, backward_chain, build_network, evolve, forward_chain
 
 CERTAINTY_THRESHOLD = 1.0 - 1e-12
 PAIRING_TOL = 1e-12
@@ -103,6 +103,11 @@ class ProjectorSet:
 
     outcomes: tuple[tuple[str, Projector], ...]
 
+    def __post_init__(self):
+        labels = [label for label, _ in self.outcomes]
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"outcome labels {labels} are not distinct")
+
     def validate(self, basis: tuple[str, ...], tol: float = DEFAULT_TOL) -> None:
         total = None
         ops = [p for _, p in self.outcomes]
@@ -154,14 +159,17 @@ def two_state_at_cut(net: Network, pre: Ket, post: Bra, cut: int) -> TwoStateVec
     Raises InconsistentSelectionError when the postselection cannot follow
     the preselection (their pairing vanishes at every cut).
     """
+    _check_normalized(pre, post)
+    fwd = evolve(net, pre, 0, cut)  # evolve checks the cut
+    bwd = evolve(net, post, net.n_stages, cut)
+    return TwoStateVector(post=bwd, pre=fwd, cut=cut, basis=net.live[cut])
+
+
+def _check_normalized(pre: Ket, post: Bra) -> None:
     if not pre.is_normalized():
         raise ValueError(f"preselection not normalized (norm={pre.norm()!r})")
     if not post.is_normalized():
         raise ValueError(f"postselection not normalized (norm={post.norm()!r})")
-    net.check_cut(cut)
-    fwd = evolve(net, pre, 0, cut)
-    bwd = evolve(net, post, net.n_stages, cut)
-    return TwoStateVector(post=bwd, pre=fwd, cut=cut, basis=net.live[cut])
 
 
 def abl_distribution(tsv: TwoStateVector, outcomes: ProjectorSet) -> dict[str, float]:
@@ -203,9 +211,11 @@ def certainty_report(net: Network, pre: Ket, post: Bra) -> list[CertaintyEntry]:
     For each cut the which-path projector set over the live modes is
     evaluated; outcomes at or above the certainty threshold are reported.
     """
+    _check_normalized(pre, post)
+    chains = zip(forward_chain(net, pre), backward_chain(net, post))
     entries = []
-    for cut in range(net.n_cuts):
-        tsv = two_state_at_cut(net, pre, post, cut)
+    for cut, (fwd, bwd) in enumerate(chains):
+        tsv = TwoStateVector(post=bwd, pre=fwd, cut=cut, basis=net.live[cut])
         dist = abl_distribution(tsv, which_path_set(net.live[cut]))
         for mode, p in sorted(dist.items()):
             if p >= CERTAINTY_THRESHOLD:

@@ -170,9 +170,18 @@ def test_non_string_network_label_exits_3(tmp_path, capsys, network):
         {"outcomes": [{"label": "x", "ket": {"c": ["1", "0"]}}]},
         {"outcomes": [{"label": "x", "ket": {"c": [[1], 0]}}]},
         {"outcomes": [{"label": "x", "ket": [["c", 1, 0]]}]},
+        {"outcomes": [{"label": "c", "modes": []}, {"label": "d", "modes": ["c", "d"]}]},
+        {"outcomes": [{"label": "x", "ket": {}}]},
+        {"outcomes": [{"label": "x", "ket": {"c": [0, 0]}}]},
+        {"outcomes": [{"label": "x", "ket": {"c": [float("nan"), 0]}}]},
+        {"outcomes": [{"label": "x", "ket": {"c": [1, float("inf")]}}]},
+        {"outcomes": [{"label": "x", "ket": {"c": [10 ** 400, 0]}}]},
+        {"outcomes": [{"label": "x", "modes": ["d"]}, {"label": "x", "modes": ["c"]}]},
     ],
     ids=["top-list", "outcomes-number", "outcome-string", "label-list", "modes-string",
-         "modes-nested", "ket-one-number", "ket-strings", "ket-nested", "ket-list"],
+         "modes-nested", "ket-one-number", "ket-strings", "ket-nested", "ket-list",
+         "modes-empty", "ket-empty", "ket-zero", "ket-nan", "ket-inf", "ket-huge-int",
+         "label-repeated"],
 )
 def test_malformed_projector_file_exits_3(tmp_path, capsys, basis_file):
     path = tmp_path / "basis.json"

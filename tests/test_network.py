@@ -330,6 +330,13 @@ def test_malformed_shapes_rejected():
         build_network({"modes": ["a"], "stages": [{"elements": [17]}]})
 
 
+@pytest.mark.parametrize("elements", [None, 5, "ab", {"type": "mirror"}],
+                         ids=["null", "number", "string", "object"])
+def test_stage_elements_must_be_a_list(elements):
+    with pytest.raises(NetworkConfigError, match="'elements' must be a list"):
+        build_network({"modes": ["a"], "stages": [{"elements": elements}]})
+
+
 def test_mirror_may_rename_its_mode():
     cfg = _config(
         [{"elements": [{"type": "mirror", "in": "a", "out": "a2"}]}],

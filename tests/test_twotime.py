@@ -156,6 +156,14 @@ def test_overlapping_set_rejected(net):
         abl_distribution(tsv, ProjectorSet((("cd", p_cd), ("c", p_c))))
 
 
+def test_repeated_outcome_labels_rejected():
+    # Weights are keyed by label, so a repeated label would drop an outcome.
+    p_c = make_projector({"c"}, basis=("c", "d"))
+    p_d = make_projector({"d"}, basis=("c", "d"))
+    with pytest.raises(ValueError, match="not distinct"):
+        ProjectorSet((("x", p_d), ("x", p_c)))
+
+
 def test_undefined_conditional_guard():
     # Constructed directly: a pair whose pairing just clears the consistency
     # threshold but spreads over four outcomes, driving every weight below
