@@ -6,16 +6,19 @@ trajectory or seeded ensemble), ``measure`` (pointer records, forward or
 backward), and ``demo`` (the full demonstration suite).
 
 State literals use the grammar ``mode:re,im`` joined by ``;``, e.g.
-``g:0.7071067811865476,0;h:0,-0.7071067811865476``.  ``--pre`` literals are
-kets; ``--post`` literals are postselection functionals (their conjugates
-are the postselected state's amplitudes).
+``g:0.7071067811865476,0;h:0,-0.7071067811865476``, with finite ``re`` and
+``im``.  ``--pre`` literals are kets; ``--post`` literals are postselection
+functionals (their conjugates are the postselected state's amplitudes).  A
+literal that ``is_normalized`` rejects is renormalized, with a note.
 
 Exit codes: 0 success; 2 usage errors (unknown flags, missing arguments);
 3 configuration errors (missing or invalid network or projector files);
 4 computation errors (inconsistent selections, unsupported merge contexts,
 basis mismatches); 5 malformed state literals; 6 out-of-range parameters
-(cuts, quantiles, sample counts).  Output is deterministic: identical
-invocations render byte-identical reports, with seeds echoed in the output.
+(cuts, quantiles, sample counts, non-finite pointer readings).  Output is
+deterministic: identical invocations render byte-identical reports, with
+seeds echoed in the output; record ``i`` of ``measure`` draws from
+``derive_stream(seed, i)``.
 
 The argument parser is built once per process, on the first request, and
 reused by every later request.
@@ -25,6 +28,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -85,30 +89,23 @@ def parse_state_literal(text: str) -> dict[str, complex]:
             re, im = float(pieces[0]), float(pieces[1])
         except ValueError as exc:
             raise StateLiteralError(f"non-numeric amplitude in {part!r}") from exc
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise StateLiteralError(f"non-finite amplitude in {part!r}")
         if label in entries:
             raise StateLiteralError(f"mode {label!r} repeated in literal")
         entries[label] = complex(re, im)
     return entries
 
 
-def _normalized_ket(text: str, diagnostics: list[str]) -> Ket:
-    ket = Ket(parse_state_literal(text))
-    if ket.norm() == 0:
+def _read_state(cls: type, text: str, diagnostics: list[str]) -> Ket | Bra:
+    state = cls(parse_state_literal(text))
+    if state.norm() == 0:
         raise StateLiteralError("state literal has zero norm")
-    if abs(ket.norm() - 1.0) > 1e-9:
-        diagnostics.append(f"pre state renormalized (norm was {ket.norm():.6g})")
-        ket = ket.normalized()
-    return ket
-
-
-def _normalized_bra(text: str, diagnostics: list[str]) -> Bra:
-    bra = Bra(parse_state_literal(text))
-    if bra.norm() == 0:
-        raise StateLiteralError("state literal has zero norm")
-    if abs(bra.norm() - 1.0) > 1e-9:
-        diagnostics.append(f"post state renormalized (norm was {bra.norm():.6g})")
-        bra = bra.scaled(1.0 / bra.norm())
-    return bra
+    if not state.is_normalized():
+        role = "pre" if cls is Ket else "post"
+        diagnostics.append(f"{role} state renormalized (norm was {state.norm():.6g})")
+        state = state.normalized()
+    return state
 
 
 def _load_network(args) -> Network:
@@ -178,9 +175,9 @@ def _exec_evolve(args) -> Report:
     lines = ["per-cut states"]
     pre_chain = post_chain = None
     if args.pre:
-        pre_chain = forward_chain(net, _normalized_ket(args.pre, diagnostics))
+        pre_chain = forward_chain(net, _read_state(Ket, args.pre, diagnostics))
     if args.post:
-        post_chain = backward_chain(net, _normalized_bra(args.post, diagnostics))
+        post_chain = backward_chain(net, _read_state(Bra, args.post, diagnostics))
     for k in range(net.n_cuts):
         rec: dict = {"cut": k}
         parts = [f"cut {k}:"]
@@ -202,12 +199,9 @@ def _exec_evolve(args) -> Report:
 def _exec_abl(args) -> Report:
     diagnostics: list[str] = []
     net = _load_network(args)
-    if not args.pre or not args.post:
-        raise StateLiteralError("abl needs both --pre and --post")
-    pre = _normalized_ket(args.pre, diagnostics)
-    post = _normalized_bra(args.post, diagnostics)
+    pre = _read_state(Ket, args.pre, diagnostics)
+    post = _read_state(Bra, args.post, diagnostics)
     cut = args.cut
-    net.check_cut(cut)
     tsv = two_state_at_cut(net, pre, post, cut)
     outcomes = _projector_set(net, cut, args.basis)
     dist = abl_distribution(tsv, outcomes)
@@ -243,11 +237,11 @@ def _exec_bohm(args) -> Report:
     net = _load_network(args)
     rules = RuleTable(reverse_on_bs_reflection=(args.reflection_rule == "reverse"))
     if args.direction == "forward":
-        terminal = _normalized_ket(args.pre, diagnostics) if args.pre else None
+        terminal = _read_state(Ket, args.pre, diagnostics) if args.pre else None
     else:
         if not args.post:
             raise StateLiteralError("reversed runs need --post")
-        terminal = _normalized_bra(args.post, diagnostics)
+        terminal = _read_state(Bra, args.post, diagnostics)
     if args.quantile is not None:
         rec = run_trajectory(
             net, args.quantile, args.direction, terminal, start_mode=args.start_mode, rules=rules
@@ -264,9 +258,8 @@ def _exec_bohm(args) -> Report:
         ]
         diagnostics.extend(rec.diagnostics)
         return Report(payload=payload, text="\n".join(lines), diagnostics=diagnostics)
-    samples = 1000 if args.samples is None else args.samples
     stats = run_ensemble(
-        net, samples, args.seed, args.direction, terminal, start_mode=args.start_mode, rules=rules
+        net, args.samples, args.seed, args.direction, terminal, start_mode=args.start_mode, rules=rules
     )
     payload = stats.to_json()
     lines = [
@@ -288,17 +281,14 @@ def _exec_measure(args) -> Report:
     except ValueError as exc:
         raise StateLiteralError(f"non-numeric eigenvalue list {args.eigenvalues!r}") from exc
     setup = MeasurementSetup(labels, values)
-    samples = 1 if args.samples is None else args.samples
-    if samples < 1:
+    if args.samples < 1:
         raise OutOfRangeError("samples must be >= 1")
     if args.direction == "forward":
-        system, measure = _normalized_ket(args.system, diagnostics), measure_forward
+        system, measure = _read_state(Ket, args.system, diagnostics), measure_forward
     else:
-        system, measure = _normalized_bra(args.system, diagnostics), measure_backward
-    records = [
-        measure(setup, system, args.pointer, args.seed if samples == 1 else args.seed * 1000003 + i)
-        for i in range(samples)
-    ]
+        system, measure = _read_state(Bra, args.system, diagnostics), measure_backward
+    records = [measure(setup, system, args.pointer, args.seed, index=i)
+               for i in range(args.samples)]
     payload = {"records": [r.to_json() for r in records], "seed": args.seed}
     lines = [f"{args.direction} pointer measurements (seed {args.seed}):"]
     for r in records:
@@ -371,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bohm.add_argument("--pre", help="forward terminal ket literal")
     p_bohm.add_argument("--post", help="reversed terminal functional literal")
     p_bohm.add_argument("--quantile", type=float, help="single-trajectory quantile in [0,1)")
-    p_bohm.add_argument("--samples", type=int, help="ensemble size (default 1000)")
+    p_bohm.add_argument("--samples", type=int, default=1000, help="ensemble size (default 1000)")
     p_bohm.add_argument("--seed", type=int, default=0)
     p_bohm.add_argument("--start-mode", dest="start_mode",
                         help="particle entry port when the terminal state occupies several")
@@ -387,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_measure.add_argument("--eigenvalues", required=True, help="comma-separated reals")
     p_measure.add_argument("--pointer", type=float, default=0.0,
                            help="prepared pointer reading (q1 forward, q2 backward)")
-    p_measure.add_argument("--samples", type=int)
+    p_measure.add_argument("--samples", type=int, default=1)
     p_measure.add_argument("--seed", type=int, default=0)
     _add_format(p_measure)
 
@@ -455,7 +445,7 @@ def main(argv=None) -> int:
     except (ConfigFileError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ValueError as exc:  # every computation error subclasses ValueError
+    except (ValueError, OverflowError) as exc:  # computation errors, and a norm that overflows
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
     sys.stdout.write(render(report))

@@ -133,7 +133,7 @@ def _pointer_item(seed: int) -> DemoItem:
     setup = MeasurementSetup(("s0", "s1"), (0.5, -0.5))
     system = Ket({"s0": _S, "s1": _S})
     fwd = measure_forward(setup, system, q1=0.25, seed=seed)
-    bwd = measure_backward(setup, adjoint(system), q2=0.25, seed=seed + 1)
+    bwd = measure_backward(setup, adjoint(system), q2=0.25, seed=seed, index=1)
     ok = (
         decode_reading(setup, fwd.q_initial, fwd.q_final) == fwd.deduced
         and decode_reading(setup, bwd.q_final, bwd.q_initial) == bwd.deduced
@@ -155,7 +155,7 @@ def _pointer_stats_item(seed: int) -> DemoItem:
     hits = sum(
         1
         for i in range(runs)
-        if measure_forward(setup, system, q1=0.0, seed=seed * 1000003 + i).deduced == 0.5
+        if measure_forward(setup, system, q1=0.0, seed=seed, index=i).deduced == 0.5
     )
     freq = hits / runs
     bound = 3.0 * 0.5 / math.sqrt(runs)

@@ -69,6 +69,12 @@ class _State:
     def scaled(self, factor: complex) -> "_State":
         return type(self)({m: factor * a for m, a in self.entries.items()})
 
+    def normalized(self) -> "_State":
+        n = self.norm()
+        if n < PRUNE_TOL:
+            raise ValueError("cannot normalize a zero state")
+        return type(self)({m: a / n for m, a in self.entries.items()})
+
     def __str__(self) -> str:
         return format_state(self.entries, self._symbol)
 
@@ -77,12 +83,6 @@ class Ket(_State):
     """Sparse state vector.  ``entries[label]`` is the amplitude of |label>."""
 
     _symbol = "|{}⟩"
-
-    def normalized(self) -> "Ket":
-        n = self.norm()
-        if n < PRUNE_TOL:
-            raise ValueError("cannot normalize a zero state")
-        return Ket({m: a / n for m, a in self.entries.items()})
 
     def add(self, other: "Ket") -> "Ket":
         merged = dict(self.entries)
@@ -185,30 +185,25 @@ def adjoint(x: Union[Ket, Bra, LinearOp]) -> Union[Bra, Ket, LinearOp]:
 
 def apply(op: LinearOp, ket: Ket) -> Ket:
     """Matrix-vector product op|ket>."""
-    missing = set(ket.entries) - set(op.in_basis)
-    if missing:
-        raise BasisMismatchError(
-            f"ket supported on {sorted(missing)} outside operator input basis"
-        )
-    out: dict[str, complex] = {}
-    for (row, col), amp in sorted(op.entries.items()):
-        if col in ket.entries:
-            out[row] = out.get(row, 0j) + amp * ket.entries[col]
-    return Ket(out)
+    return _contract(op, ket, 1, "ket supported on {} outside operator input basis")
 
 
 def apply_dual(bra: Bra, op: LinearOp) -> Bra:
     """Right composition <bra|op, so that apply_dual(b, op).pair(k) == b.pair(apply(op, k))."""
-    missing = set(bra.entries) - set(op.out_basis)
+    return _contract(op, bra, 0, "bra supported on {} outside operator output basis")
+
+
+def _contract(op: LinearOp, state: _State, src: int, error: str) -> _State:
+    """op|ket> (``src`` 1: sum over columns) or <bra|op (``src`` 0: over rows)."""
+    entries, dst = state.entries, 1 - src
+    missing = set(entries) - set(op.in_basis if src else op.out_basis)
     if missing:
-        raise BasisMismatchError(
-            f"bra supported on {sorted(missing)} outside operator output basis"
-        )
+        raise BasisMismatchError(error.format(sorted(missing)))
     out: dict[str, complex] = {}
-    for (row, col), amp in sorted(op.entries.items()):
-        if row in bra.entries:
-            out[col] = out.get(col, 0j) + bra.entries[row] * amp
-    return Bra(out)
+    for key, amp in sorted(op.entries.items()):
+        if key[src] in entries:
+            out[key[dst]] = out.get(key[dst], 0j) + amp * entries[key[src]]
+    return type(state)(out)
 
 
 def compose(after: LinearOp, before: LinearOp) -> LinearOp:
@@ -280,17 +275,17 @@ def check_unitary(op: LinearOp, tol: float = DEFAULT_TOL) -> bool:
 def op_close(a: LinearOp, b: LinearOp, tol: float = DEFAULT_TOL) -> bool:
     if set(a.in_basis) != set(b.in_basis) or set(a.out_basis) != set(b.out_basis):
         return False
-    keys = set(a.entries) | set(b.entries)
-    return all(abs(a[k] - b[k]) <= tol for k in keys)
+    return _entries_close(a, b, tol)
 
 
 def states_close(
     a: Union[Ket, Bra], b: Union[Ket, Bra], tol: float = DEFAULT_TOL
 ) -> bool:
-    if type(a) is not type(b):
-        return False
-    keys = set(a.entries) | set(b.entries)
-    return all(abs(a[k] - b[k]) <= tol for k in keys)
+    return type(a) is type(b) and _entries_close(a, b, tol)
+
+
+def _entries_close(a, b, tol: float) -> bool:
+    return all(abs(a[k] - b[k]) <= tol for k in set(a.entries) | set(b.entries))
 
 
 def format_amplitude(a: complex, digits: int = 6) -> str:

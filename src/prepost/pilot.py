@@ -199,8 +199,6 @@ def element_transfer(
         if mode != element.ins[0]:
             raise TrajectoryError(f"particle on {mode!r} is not at this detector")
         return mode, quantile
-    if element.kind != "beamsplitter":
-        raise TrajectoryError(f"no transfer rule for element kind {element.kind!r}")
 
     (p_in0, p_in1), (p_out0, p_out1) = _oriented_ports(element, context.direction)
     if mode not in (p_in0, p_in1):

@@ -14,15 +14,17 @@ pair of readings.  Free evolution of system and pointer is zero, and the
 pointer is idealized as perfectly localized, so shifts are exact real
 arithmetic; readings are compared with tolerance :data:`POSITION_TOL`.
 
-Sampling uses explicit SplitMix64 seeds; identical inputs give identical
-records.
+Record ``index`` of a run with seed ``seed`` draws from the SplitMix64
+substream ``derive_stream(seed, index)``; identical inputs give identical records.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
 from .hilbert import Bra, Ket, basis_bra, basis_ket, state_json
+from .network import OutOfRangeError
 from .rng import derive_stream
 
 POSITION_TOL = 1e-9
@@ -40,6 +42,8 @@ class MeasurementSetup:
             raise ValueError("eigenbasis and eigenvalues must have equal length")
         if len(set(self.eigenbasis)) != len(self.eigenbasis):
             raise ValueError("eigenbasis labels must be distinct")
+        if not all(math.isfinite(v) for v in self.eigenvalues):
+            raise ValueError(f"eigenvalues must be finite, got {self.eigenvalues!r}")
         vals = sorted(self.eigenvalues)
         for lo, hi in zip(vals, vals[1:]):
             if abs(hi - lo) <= 2 * POSITION_TOL:
@@ -106,18 +110,18 @@ def entangled_amplitudes(
 
 
 def measure_forward(
-    setup: MeasurementSetup, system: Ket, q1: float, seed: int
+    setup: MeasurementSetup, system: Ket, q1: float, seed: int, index: int = 0
 ) -> MeasurementRecord:
     """Prepare the pointer at q1, couple, read q2; collapse the system.
 
     The outcome is sampled with probability |amplitude|^2 from the system's
-    expansion in the eigenbasis, using the substream derived from (seed, 0).
+    expansion in the eigenbasis, using the substream derived from (seed, index).
     """
-    return _measure(setup, system, q1, seed, "forward")
+    return _measure(setup, system, q1, seed, index, "forward")
 
 
 def measure_backward(
-    setup: MeasurementSetup, system: Bra, q2: float, seed: int
+    setup: MeasurementSetup, system: Bra, q2: float, seed: int, index: int = 0
 ) -> MeasurementRecord:
     """Prepare the pointer at q2, couple in reverse, read q1 'afterwards'.
 
@@ -125,21 +129,23 @@ def measure_backward(
     q1 = q2 - value and the deduced eigenvalue is q2 - q1, exactly as in the
     forward direction.  Sampling is as in :func:`measure_forward`.
     """
-    return _measure(setup, system, q2, seed, "backward")
+    return _measure(setup, system, q2, seed, index, "backward")
 
 
-def _measure(
-    setup: MeasurementSetup, system: Union[Ket, Bra], q_start: float, seed: int, direction: str
-) -> MeasurementRecord:
+def _measure(setup: MeasurementSetup, system: Union[Ket, Bra], q_start: float, seed: int,
+             index: int, direction: str) -> MeasurementRecord:
     weights = _weights(system, setup)
-    idx = derive_stream(seed, 0).choice_index(weights)
+    idx = derive_stream(seed, index).choice_index(weights)
     label = setup.eigenbasis[idx]
     value = setup.eigenvalues[idx]
     forward = direction == "forward"
+    q_final = q_start + value if forward else q_start - value
+    if not math.isfinite(q_final):  # also when q_start is not: the eigenvalue is finite
+        raise OutOfRangeError(f"pointer readings must be finite, got {q_start!r} and {q_final!r}")
     return MeasurementRecord(
         direction=direction,
         q_initial=q_start,
-        q_final=q_start + value if forward else q_start - value,
+        q_final=q_final,
         deduced=value,
         collapsed=basis_ket(label) if forward else basis_bra(label),
         seed=seed,

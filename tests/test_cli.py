@@ -8,7 +8,9 @@ import sys
 import pytest
 
 from prepost.cli import main, parse_request, parse_state_literal, StateLiteralError
+from prepost.hilbert import Bra, Ket
 from prepost.network import PRESET_DOUBLE_MZ
+from prepost.pointer import MeasurementSetup, measure_backward, measure_forward
 
 
 def run_cli(argv, capsys):
@@ -28,7 +30,9 @@ def test_state_literal_grammar():
 
 @pytest.mark.parametrize(
     "literal",
-    ["", "g", "g:1", "g:1,2,3", "g:x,0", ":1,0", "g:1,0;g:0,1"],
+    ["", "g", "g:1", "g:1,2,3", "g:x,0", ":1,0", "g:1,0;g:0,1",
+     "g:nan,0", "g:0,inf", "g:-inf,0", "g:1e400,0", "g:1,0;h:0,-1e400",
+     pytest.param("g:1" + "0" * 400 + ",0", id="g-huge-int")],
 )
 def test_state_literal_rejects_malformed(literal):
     with pytest.raises(StateLiteralError):
@@ -373,6 +377,88 @@ def test_measure_backward_batch(capsys):
     assert len(payload["records"]) == 50
     for rec in payload["records"]:
         assert rec["q_initial"] - rec["q_final"] == rec["deduced"]
+
+
+HALF = "s0:0.7071067811865476,0;s1:0,0.7071067811865476"
+MEASURE_HALF = ["measure", "--system", HALF, "--eigenbasis", "s0,s1", "--eigenvalues", "0.5,-0.5",
+                "--pointer", "0.25"]
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_measure_record_i_draws_from_seed_and_index(capsys, direction):
+    code, out, _ = run_cli(MEASURE_HALF + ["--direction", direction, "--samples", "40",
+                                           "--seed", "9", "--format", "json"], capsys)
+    assert code == 0
+    setup = MeasurementSetup(("s0", "s1"), (0.5, -0.5))
+    amps = {"s0": 0.7071067811865476, "s1": 0.7071067811865476j}
+    if direction == "forward":
+        system, measure = Ket(amps), measure_forward
+    else:
+        system, measure = Bra(amps), measure_backward
+    records = json.loads(out)["records"]
+    assert records == [measure(setup, system, 0.25, 9, index=i).to_json() for i in range(40)]
+    assert {r["seed"] for r in records} == {9}
+    assert {r["deduced"] for r in records} == {0.5, -0.5}
+
+
+def test_measure_single_sample_output_unchanged(capsys):
+    # Pinned: one record per seed draws from derive_stream(seed, 0).
+    deduced = []
+    for seed in range(4):
+        _, default, _ = run_cli(MEASURE_HALF + ["--seed", str(seed)], capsys)
+        _, one, _ = run_cli(MEASURE_HALF + ["--seed", str(seed), "--samples", "1"], capsys)
+        assert default == one
+        deduced.append(default.splitlines()[1].split("value ")[1].split(",")[0])
+    assert deduced == ["0.5", "-0.5", "0.5", "-0.5"]
+    _, out, _ = run_cli(MEASURE_HALF + ["--direction", "backward", "--seed", "3"], capsys)
+    assert out == ("backward pointer measurements (seed 3):\n"
+                   "  readings (0.25, 0.75) -> value -0.5, collapsed ⟨s1|\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["abl", "--preset", "--pre", "a:1.0000000005,0", "--post", "g:1,0"],
+        ["abl", "--preset", "--pre", "a:1,0", "--post", "g:1.0000000005,0"],
+        ["measure", "--system", "u:1.0000000005,0", "--eigenbasis", "u,v",
+         "--eigenvalues", "1,2"],
+        ["measure", "--direction", "backward", "--system", "u:1.0000000005,0",
+         "--eigenbasis", "u,v", "--eigenvalues", "1,2"],
+    ],
+)
+def test_nearly_normalized_literal_is_renormalized(capsys, argv):
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert "state renormalized (norm was 1)" in out
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["evolve", "--preset", "--pre", "a:nan,0"], 5),
+        (["evolve", "--preset", "--post", "g:0,inf"], 5),
+        (["measure", "--system", "u:1e400,0", "--eigenbasis", "u,v", "--eigenvalues", "1,2"], 5),
+        (["evolve", "--preset", "--pre", "a:1e200,0"], 4),
+        (["measure", "--system", "u:1,0", "--eigenbasis", "u,v", "--eigenvalues", "nan,1",
+          "--format", "json"], 4),
+        (["measure", "--system", "u:1,0", "--eigenbasis", "u,v", "--eigenvalues", "1,inf"], 4),
+        (["measure", "--system", "u:1,0", "--eigenbasis", "u,v", "--eigenvalues", "1,2",
+          "--pointer", "inf"], 6),
+        (["measure", "--direction", "backward", "--system", "u:1,0", "--eigenbasis", "u,v",
+          "--eigenvalues", "1,2", "--pointer=-inf", "--format", "json"], 6),
+        (["measure", "--system", "u:1,0", "--eigenbasis", "u,v", "--eigenvalues", "1e308,2",
+          "--pointer", "1e308"], 6),
+    ],
+)
+def test_non_finite_inputs_exit_with_an_error(capsys, argv, expected):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (expected, "")
+    assert err.startswith("error: ")
+
+
+def test_abl_with_an_empty_literal_exits_5(capsys):
+    code, out, err = run_cli(["abl", "--preset", "--pre", "", "--post", "g:1,0"], capsys)
+    assert (code, out, err) == (5, "", "error: empty state literal\n")
 
 
 # ---------------------------------------------------------------------------

@@ -235,6 +235,16 @@ def test_normalized_and_norm():
         Ket({}).normalized()
 
 
+def test_bra_normalized_divides_by_the_norm():
+    bra = Bra({"g": 3.0, "h": 4.0j})
+    unit = bra.normalized()
+    assert type(unit) is Bra
+    assert unit.entries == {"g": 3.0 / 5.0, "h": 4.0j / 5.0}
+    assert unit.is_normalized()
+    with pytest.raises(ValueError, match="zero state"):
+        Bra({}).normalized()
+
+
 def test_amplitude_serialization_12_digits():
     assert amplitude_json(complex(-1 / math.sqrt(2), 0)) == [-0.707106781187, 0]
     assert amplitude_json(complex(0, 1 / math.sqrt(2))) == [0, 0.707106781187]

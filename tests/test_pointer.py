@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from prepost.hilbert import Bra, Ket, adjoint, basis_bra, basis_ket, states_close
+from prepost.network import OutOfRangeError
 from prepost.pointer import (
     MeasurementSetup,
     decode_reading,
@@ -158,6 +159,21 @@ def test_rejects_degenerate_eigenvalues():
         MeasurementSetup(("s0", "s1"), (0.5, 0.5))
     with pytest.raises(ValueError, match="equal length"):
         MeasurementSetup(("s0", "s1"), (0.5,))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_rejects_non_finite_eigenvalues(value):
+    with pytest.raises(ValueError, match="finite"):
+        MeasurementSetup(("s0", "s1"), (0.5, value))
+
+
+@pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf, 1e308])
+def test_rejects_non_finite_pointer_readings(q):
+    setup = MeasurementSetup(("s0", "s1"), (1e308, -1e308))
+    with pytest.raises(OutOfRangeError, match="finite"):
+        measure_forward(setup, basis_ket("s0"), q1=q, seed=0)
+    with pytest.raises(OutOfRangeError, match="finite"):
+        measure_backward(setup, basis_bra("s1"), q2=q, seed=0)
 
 
 def test_decode_rejects_unmatched_shift():
