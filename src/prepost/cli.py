@@ -29,6 +29,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, field
 
@@ -99,7 +100,13 @@ def parse_state_literal(text: str) -> dict[str, complex]:
 
 def _read_state(cls: type, text: str, diagnostics: list[str]) -> Ket | Bra:
     state = cls(parse_state_literal(text))
-    if state.norm() == 0:
+    try:
+        norm = state.norm()
+    except OverflowError:  # a squared amplitude overflows
+        norm = math.inf
+    if norm == math.inf:  # also when only the sum of squares does
+        raise OverflowError(f"state literal {text!r}: its norm overflows a float")
+    if norm == 0:
         raise StateLiteralError("state literal has zero norm")
     if not state.is_normalized():
         role = "pre" if cls is Ket else "post"
@@ -324,6 +331,12 @@ def _exec_demo(args) -> Report:
 # ---------------------------------------------------------------------------
 # Argument parsing and rendering
 
+# argparse takes "-1e-3", "-inf" and "-0.5,0.5" for unknown options, so
+# "--pointer -1e-3" would lack its value; read such tokens as values, as
+# argparse already does for "-0.5".  No option of this parser looks like one.
+_NEGATIVE_VALUE = re.compile(r"-\.?\d|-inf|-nan", re.IGNORECASE)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="prepost",
@@ -385,6 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("--seed", type=int, default=0)
     _add_format(p_demo)
 
+    for p in sub.choices.values():
+        p._negative_number_matcher = _NEGATIVE_VALUE
     return parser
 
 

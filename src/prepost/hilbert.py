@@ -228,16 +228,6 @@ def identity(labels: Iterable[str]) -> LinearOp:
     return LinearOp(labels, labels, {(m, m): 1.0 + 0j for m in labels})
 
 
-def outer(ket: Ket, bra: Bra) -> LinearOp:
-    """|ket><bra| as an operator from the bra's labels to the ket's labels."""
-    entries = {
-        (r, c): ket.entries[r] * bra.entries[c]
-        for r in ket.entries
-        for c in bra.entries
-    }
-    return LinearOp(tuple(bra.entries), tuple(ket.entries), entries)
-
-
 def make_projector(
     target: Union[Ket, Iterable[str]],
     basis: Iterable[str] | None = None,

@@ -95,7 +95,6 @@ class Network:
     stages: tuple[tuple[Element, ...], ...]
     detectors: dict[str, str]
     sources: tuple[str, ...]
-    inputs: tuple[str, ...]
     live: tuple[tuple[str, ...], ...]  # live modes at each cut 0..n
     _unitaries: dict[int, LinearOp] = field(default_factory=dict, repr=False, compare=False)
 
@@ -110,13 +109,6 @@ class Network:
     def check_cut(self, cut: int) -> None:
         if not isinstance(cut, int) or not 0 <= cut <= self.n_stages:
             raise OutOfRangeError(f"cut {cut!r} out of range 0..{self.n_stages}")
-
-    def element_counts(self) -> dict[str, int]:
-        counts = {k: 0 for k in ELEMENT_KINDS}
-        for stage in self.stages:
-            for el in stage:
-                counts[el.kind] += 1
-        return counts
 
 
 def build_network(config: Union[str, Mapping]) -> Network:
@@ -302,7 +294,6 @@ def _validate(
         stages=stages,
         detectors=detectors,
         sources=tuple(sorted(source_set)),
-        inputs=tuple(sorted(inferred_inputs)),
         live=tuple(live_per_cut),
     )
 

@@ -92,23 +92,6 @@ def _weights(state: Union[Ket, Bra], setup: MeasurementSetup) -> list[float]:
     return weights
 
 
-def entangled_amplitudes(
-    setup: MeasurementSetup, system: Ket, q_start: float, sign: int = +1
-) -> list[tuple[str, float, complex]]:
-    """The system-pointer sum after the impulsive coupling, before collapse.
-
-    Returns ``(eigenlabel, pointer_position, amplitude)`` triples with the
-    pointer shifted by ``sign *`` eigenvalue; squared amplitudes are the
-    outcome weights and sum to 1.
-    """
-    _weights(system, setup)
-    return [
-        (m, q_start + sign * setup.eigenvalue_of(m), system[m])
-        for m in setup.eigenbasis
-        if m in system.entries
-    ]
-
-
 def measure_forward(
     setup: MeasurementSetup, system: Ket, q1: float, seed: int, index: int = 0
 ) -> MeasurementRecord:

@@ -98,7 +98,14 @@ class ProjectorSet:
 
     Projectors may cover multi-dimensional subspaces (degenerate outcomes).
     They must be mutually orthogonal and sum to the identity on the space
-    they are used in; :meth:`validate` checks both.
+    they are used in.  :meth:`validate` checks the sum alone, which is
+    enough: every :class:`Projector` is idempotent and self-adjoint, and
+    such projectors that sum to the identity are mutually orthogonal.  For
+    x = P_i x,
+
+        |x|^2 = sum_j <x, P_j x> = |x|^2 + sum_{j != i} |P_j x|^2,
+
+    so P_j x = 0 for every j != i.
     """
 
     outcomes: tuple[tuple[str, Projector], ...]
@@ -109,14 +116,22 @@ class ProjectorSet:
             raise ValueError(f"outcome labels {labels} are not distinct")
 
     def validate(self, basis: tuple[str, ...], tol: float = DEFAULT_TOL) -> None:
-        total = None
-        ops = [p for _, p in self.outcomes]
-        for i, p in enumerate(ops):
+        """Accept the set iff it sums to the identity on ``basis`` within ``tol``.
+
+        Only a set that fails is searched pairwise, to report an overlap
+        ahead of an incomplete sum.
+        """
+        total: dict[tuple[str, str], complex] = {}
+        for label, p in self.outcomes:
             if set(p.in_basis) - set(basis):
                 raise IncompleteProjectorSetError(
-                    f"projector {self.outcomes[i][0]!r} uses labels outside the live space"
+                    f"projector {label!r} uses labels outside the live space"
                 )
-        embedded = [_embed(p, basis) for p in ops]
+            for k, v in p.entries.items():
+                total[k] = total.get(k, 0j) + v
+        if self.outcomes and op_close(LinearOp(basis, basis, total), identity(basis), tol):
+            return
+        embedded = [_embed(p, basis) for _, p in self.outcomes]
         for i in range(len(embedded)):
             for j in range(i + 1, len(embedded)):
                 prod = compose(embedded[i], embedded[j])
@@ -124,25 +139,15 @@ class ProjectorSet:
                     raise IncompleteProjectorSetError(
                         f"projectors {self.outcomes[i][0]!r} and {self.outcomes[j][0]!r} overlap"
                     )
-        for p in embedded:
-            total = p if total is None else _op_sum(total, p)
-        if total is None or not op_close(total, identity(basis), tol):
-            raise IncompleteProjectorSetError(
-                "projector set does not sum to the identity on the live space"
-            )
+        raise IncompleteProjectorSetError(
+            "projector set does not sum to the identity on the live space"
+        )
 
 
 def _embed(p: Projector, basis: tuple[str, ...]) -> Projector:
     if set(p.in_basis) == set(basis):
         return p
     return Projector(tuple(basis), tuple(basis), dict(p.entries))
-
-
-def _op_sum(a: LinearOp, b: LinearOp) -> LinearOp:
-    entries = dict(a.entries)
-    for k, v in b.entries.items():
-        entries[k] = entries.get(k, 0j) + v
-    return LinearOp(a.in_basis, a.out_basis, entries)
 
 
 def which_path_set(modes: tuple[str, ...]) -> ProjectorSet:

@@ -456,6 +456,42 @@ def test_non_finite_inputs_exit_with_an_error(capsys, argv, expected):
     assert err.startswith("error: ")
 
 
+MEASURE_UV = ["measure", "--system", "u:1,0", "--eigenbasis", "u,v"]
+
+
+@pytest.mark.parametrize(
+    "head, flag, value",
+    [
+        (MEASURE_UV + ["--eigenvalues", "1,2"], "--pointer", "-1e-3"),
+        (MEASURE_UV + ["--eigenvalues", "1,2"], "--pointer", "-inf"),
+        (["bohm", "--preset"], "--quantile", "-1e-3"),
+        (MEASURE_UV, "--eigenvalues", "-0.5,0.5"),
+        (MEASURE_UV + ["--eigenvalues", "1,2"], "--pointer", "-.5"),
+    ],
+)
+def test_negative_values_read_the_same_in_both_forms(capsys, head, flag, value):
+    two_tokens = run_cli(head + [flag, value], capsys)
+    joined = run_cli(head + [f"{flag}={value}"], capsys)
+    assert two_tokens == joined
+    assert two_tokens[0] != 2
+
+
+@pytest.mark.parametrize(
+    "argv, literal",
+    [
+        (["evolve", "--preset", "--pre", "a:1e200,0"], "a:1e200,0"),
+        (["evolve", "--preset", "--post", "g:0,-1e200"], "g:0,-1e200"),
+        (["evolve", "--preset", "--pre", "a:1e154,0;b:1e154,0"], "a:1e154,0;b:1e154,0"),
+        (["measure", "--system", "u:1e200,0", "--eigenbasis", "u,v", "--eigenvalues", "1,2"],
+         "u:1e200,0"),
+    ],
+)
+def test_overflowing_norm_names_the_literal(capsys, argv, literal):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (4, "")
+    assert err == f"error: state literal {literal!r}: its norm overflows a float\n"
+
+
 def test_abl_with_an_empty_literal_exits_5(capsys):
     code, out, err = run_cli(["abl", "--preset", "--pre", "", "--post", "g:1,0"], capsys)
     assert (code, out, err) == (5, "", "error: empty state literal\n")

@@ -163,15 +163,6 @@ def test_projector_orthogonal_pair_annihilates():
     assert all(abs(a) <= 1e-12 for a in prod.entries.values())
 
 
-def test_outer_product_matches_projector():
-    from prepost.hilbert import outer
-
-    ket = Ket({"c": S, "d": 1j * S})
-    op = outer(ket, adjoint(ket))
-    proj = make_projector(ket)
-    assert op_close(op, proj)
-
-
 def test_projector_rejects_unnormalized_ket():
     with pytest.raises(ValueError, match="not normalized"):
         make_projector(Ket({"c": 1.0, "d": 1.0}))

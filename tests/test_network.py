@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -48,10 +49,8 @@ def net():
 
 def test_preset_stage_and_element_counts(net):
     assert net.n_stages == 6
-    counts = net.element_counts()
-    assert counts["beamsplitter"] == 3
-    assert counts["mirror"] == 4
-    assert counts["detector"] == 2
+    counts = Counter(el.kind for stage in net.stages for el in stage)
+    assert counts == {"beamsplitter": 3, "mirror": 4, "detector": 2}
 
 
 def test_preset_live_modes(net):
@@ -60,7 +59,6 @@ def test_preset_live_modes(net):
     assert net.live[3] == net.live[4] == ("e", "f")
     assert net.live[5] == net.live[6] == ("g", "h")
     assert net.sources == ("a",)
-    assert net.inputs == ("a", "b")
 
 
 def test_preset_from_config_text_matches():

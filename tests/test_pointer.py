@@ -11,7 +11,6 @@ from prepost.network import OutOfRangeError
 from prepost.pointer import (
     MeasurementSetup,
     decode_reading,
-    entangled_amplitudes,
     measure_backward,
     measure_forward,
 )
@@ -115,26 +114,6 @@ def test_backward_frequencies_match_born_weights():
     )
     sigma = math.sqrt(0.25 / runs)
     assert abs(hits / runs - 0.5) <= 3 * sigma
-
-
-# ---------------------------------------------------------------------------
-# the intermediate entangled sum
-
-def test_entangled_amplitudes_expose_born_weights():
-    setup = MeasurementSetup(("s0", "s1", "s2"), (0.5, -0.5, 1.0))
-    system = Ket({"s0": 0.6, "s2": 0.8j})
-    branches = entangled_amplitudes(setup, system, q_start=0.25)
-    assert [(m, q) for m, q, _ in branches] == [("s0", 0.75), ("s2", 1.25)]
-    weights = [abs(a) ** 2 for _, _, a in branches]
-    assert abs(sum(weights) - 1.0) <= 1e-12
-    assert abs(weights[0] - 0.36) <= 1e-12
-
-
-def test_entangled_amplitudes_backward_shift():
-    setup = MeasurementSetup(("s0", "s1"), (0.5, -0.5))
-    system = Ket({"s0": S, "s1": S})
-    branches = entangled_amplitudes(setup, system, q_start=0.0, sign=-1)
-    assert [(m, q) for m, q, _ in branches] == [("s0", -0.5), ("s1", 0.5)]
 
 
 # ---------------------------------------------------------------------------

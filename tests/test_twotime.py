@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from conftest import (
     random_balanced_network,
     random_bra,
     random_ket,
+    random_unitary,
 )
 from prepost.hilbert import (
     Bra,
@@ -24,6 +26,8 @@ from prepost.hilbert import (
     apply,
     basis_bra,
     basis_ket,
+    compose,
+    identity,
     make_projector,
     op_close,
     states_close,
@@ -34,6 +38,7 @@ from prepost.twotime import (
     IncompleteProjectorSetError,
     InconsistentSelectionError,
     ProjectorSet,
+    SPIN_LABELS,
     TwoStateVector,
     UndefinedConditionalError,
     abl_distribution,
@@ -154,6 +159,92 @@ def test_overlapping_set_rejected(net):
     p_c = make_projector({"c"}, basis=("c", "d"))
     with pytest.raises(IncompleteProjectorSetError, match="overlap"):
         abl_distribution(tsv, ProjectorSet((("cd", p_cd), ("c", p_c))))
+
+
+@pytest.mark.parametrize(
+    "declared, live, outcomes, message",
+    [
+        (("c", "d", "e"), ("c", "d"), (("d", {"d"}), ("c", {"c"})),
+         "projector 'd' uses labels outside the live space"),
+        (("c", "d"), ("c", "d"), (), "does not sum to the identity"),
+        # Overlapping and missing e: the overlap is reported.
+        (("c", "d", "e"), ("c", "d", "e"), (("cd", {"c", "d"}), ("c", {"c"})),
+         "projectors 'cd' and 'c' overlap"),
+    ],
+)
+def test_validate_messages(declared, live, outcomes, message):
+    pset = ProjectorSet(tuple((label, make_projector(modes, basis=declared))
+                              for label, modes in outcomes))
+    with pytest.raises(IncompleteProjectorSetError, match=message):
+        pset.validate(live)
+
+
+def test_validate_composes_nothing_on_a_valid_set(net, monkeypatch):
+    import prepost.hilbert
+    import prepost.twotime
+
+    sets = [(live, which_path_set(live)) for live in net.live]
+    sets.append((SPIN_LABELS, spin_observable((0.6, 0.0, 0.8))))
+    calls = []
+
+    def counting(after, before):
+        calls.append(1)
+        return compose(after, before)
+
+    monkeypatch.setattr(prepost.hilbert, "compose", counting)
+    monkeypatch.setattr(prepost.twotime, "compose", counting)
+    for live, pset in sets:
+        pset.validate(live)
+    assert calls == []
+
+
+def _reference_check(pset: ProjectorSet, basis: tuple[str, ...], tol: float = 1e-12):
+    """The pairwise-then-sum check that validate replaced: None if accepted."""
+    ops = [p for _, p in pset.outcomes]
+    for a, b in itertools.combinations(ops, 2):
+        if any(abs(x) > tol for x in compose(a, b).entries.values()):
+            return "overlap"
+    total = None
+    for p in ops:
+        total = p if total is None else LinearOp(
+            basis, basis, {k: total[k] + p[k] for k in set(total.entries) | set(p.entries)})
+    if total is None or not op_close(total, identity(basis), tol):
+        return "identity"
+    return None
+
+
+def _check(pset: ProjectorSet, basis: tuple[str, ...]):
+    try:
+        pset.validate(basis)
+    except IncompleteProjectorSetError as exc:
+        return "overlap" if "overlap" in str(exc) else "identity"
+    return None
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-13, 10 ** -12.5, 1e-12, 10 ** -11.5, 1e-11,
+                                   1e-10, 1e-8, 1e-6, 1e-3])
+def test_completeness_check_matches_the_pairwise_reference(delta):
+    # Rank-1 sets from the columns of a random unitary, each column moved by
+    # delta in a random direction and renormalized.
+    rng = np.random.default_rng(20241)
+    for trial in range(100):
+        n = 2 + trial % 5
+        basis = tuple(f"m{k}" for k in range(n))
+        u = random_unitary(n, rng)
+        outcomes = []
+        for k in range(n):
+            step = rng.normal(size=n) + 1j * rng.normal(size=n)
+            col = u[:, k] + delta * step / np.linalg.norm(step)
+            ket = Ket({m: complex(a) for m, a in zip(basis, col)}).normalized()
+            outcomes.append((basis[k], make_projector(ket, basis=basis)))
+        pset = ProjectorSet(tuple(outcomes))
+        got = _check(pset, basis)
+        if delta >= 1e-10:
+            assert got == _reference_check(pset, basis)
+        if got is None:
+            worst = max((abs(x) for (_, a), (_, b) in itertools.combinations(outcomes, 2)
+                         for x in compose(a, b).entries.values()), default=0.0)
+            assert worst <= 2e-12
 
 
 def test_repeated_outcome_labels_rejected():
