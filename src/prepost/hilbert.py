@@ -9,7 +9,10 @@ in :func:`adjoint`, which conjugates entrywise.  The state a bra postselects
 on is therefore ``adjoint(bra)``.
 
 Amplitudes with magnitude below :data:`PRUNE_TOL` are dropped on
-construction, keeping states in their closed forms.  All values are
+construction, keeping states in their closed forms.  Construction also
+fixes the canonical order: state labels, operator bases and operator
+entries are stored sorted, so every reader iterates in stored order and
+every sum runs in the same sequence for the same input.  All values are
 immutable after construction and all operations are pure.
 """
 from __future__ import annotations
@@ -58,7 +61,7 @@ class _State:
 
     @property
     def support(self) -> tuple[str, ...]:
-        return tuple(sorted(self.entries))
+        return tuple(self.entries)
 
     def norm(self) -> float:
         return math.sqrt(sum(abs(a) ** 2 for a in self.entries.values()))
@@ -103,7 +106,7 @@ class Bra(_State):
     def pair(self, ket: Ket) -> complex:
         """Contraction <bra|ket>: sum over entries of bra[m] * ket[m]."""
         return sum(
-            (a * ket.entries[m] for m, a in sorted(self.entries.items()) if m in ket.entries),
+            (a * ket.entries[m] for m, a in self.entries.items() if m in ket.entries),
             0j,
         )
 
@@ -149,11 +152,8 @@ class Projector(LinearOp):
             raise ValueError("projector bases must coincide")
         if not op_close(compose(self, self), self):
             raise ValueError("operator is not idempotent")
-        transposed = LinearOp(
-            self.out_basis, self.in_basis,
-            {(c, r): a.conjugate() for (r, c), a in self.entries.items()},
-        )
-        if not op_close(transposed, self):
+        if any(abs(a - self[(c, r)].conjugate()) > DEFAULT_TOL
+               for (r, c), a in self.entries.items()):
             raise ValueError("operator is not self-adjoint")
 
 
@@ -200,7 +200,7 @@ def _contract(op: LinearOp, state: _State, src: int, error: str) -> _State:
     if missing:
         raise BasisMismatchError(error.format(sorted(missing)))
     out: dict[str, complex] = {}
-    for key, amp in sorted(op.entries.items()):
+    for key, amp in op.entries.items():
         if key[src] in entries:
             out[key[dst]] = out.get(key[dst], 0j) + amp * entries[key[src]]
     return type(state)(out)
@@ -214,9 +214,9 @@ def compose(after: LinearOp, before: LinearOp) -> LinearOp:
         )
     out: dict[tuple[str, str], complex] = {}
     by_col: dict[str, list[tuple[str, complex]]] = {}
-    for (row, col), amp in sorted(after.entries.items()):
+    for (row, col), amp in after.entries.items():
         by_col.setdefault(col, []).append((row, amp))
-    for (mid, col), amp_b in sorted(before.entries.items()):
+    for (mid, col), amp_b in before.entries.items():
         for row, amp_a in by_col.get(mid, ()):
             key = (row, col)
             out[key] = out.get(key, 0j) + amp_a * amp_b
@@ -224,7 +224,7 @@ def compose(after: LinearOp, before: LinearOp) -> LinearOp:
 
 
 def identity(labels: Iterable[str]) -> LinearOp:
-    labels = tuple(sorted(set(labels)))
+    labels = tuple(labels)
     return LinearOp(labels, labels, {(m, m): 1.0 + 0j for m in labels})
 
 
@@ -252,7 +252,7 @@ def make_projector(
         if not labels:
             raise ValueError("projector subset must be nonempty")
         entries = {(m, m): 1.0 + 0j for m in labels}
-    full = tuple(sorted(labels | set(basis or ())))
+    full = tuple(labels | set(basis or ()))
     return Projector(full, full, entries)
 
 
@@ -310,7 +310,7 @@ def amplitude_json(a: complex) -> list:
 
 
 def state_json(state: Union[Ket, Bra]) -> dict:
-    return {m: amplitude_json(a) for m, a in sorted(state.entries.items())}
+    return {m: amplitude_json(a) for m, a in state.entries.items()}
 
 
 def _sig12(x: float):

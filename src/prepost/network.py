@@ -323,7 +323,7 @@ def preset_double_mz() -> Network:
     second (v) port, which reproduces the standard single-input evolution
     a -> (c + i d)/sqrt(2) -> i e -> (-g + i h)/sqrt(2).
     """
-    return build_network(json.dumps(PRESET_DOUBLE_MZ))
+    return build_network(PRESET_DOUBLE_MZ)
 
 
 def stage_unitary(net: Network, stage: int) -> LinearOp:

@@ -280,14 +280,14 @@ def _build_plan(
         scale = max(abs(a) for a in terminal_state.entries.values())
         leaked = [
             m
-            for m, a in sorted(chain[0].entries.items())
+            for m, a in chain[0].entries.items()
             if m not in net.sources and abs(a) > OCCUPANCY_TOL * scale
         ]
         if leaked:
             diagnostics = (f"{EMPTY_WAVE_DIAGNOSTIC} (terminal state reaches non-source ports "
                            f"{leaked} at cut 0)",)
 
-    occupied_entry = [m for m, a in sorted(chain[cuts[0]].entries.items())
+    occupied_entry = [m for m, a in chain[cuts[0]].entries.items()
                       if abs(a) > OCCUPANCY_TOL]
     if start_mode is None:
         if len(occupied_entry) != 1:

@@ -51,9 +51,6 @@ class MeasurementSetup:
                     f"eigenvalues {lo!r} and {hi!r} too close to decode unambiguously"
                 )
 
-    def eigenvalue_of(self, label: str) -> float:
-        return self.eigenvalues[self.eigenbasis.index(label)]
-
 
 @dataclass(frozen=True)
 class MeasurementRecord:

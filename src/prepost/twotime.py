@@ -122,8 +122,9 @@ class ProjectorSet:
         ahead of an incomplete sum.
         """
         total: dict[tuple[str, str], complex] = {}
+        live = set(basis)
         for label, p in self.outcomes:
-            if set(p.in_basis) - set(basis):
+            if set(p.in_basis) - live:
                 raise IncompleteProjectorSetError(
                     f"projector {label!r} uses labels outside the live space"
                 )
@@ -145,7 +146,7 @@ class ProjectorSet:
 
 
 def _embed(p: Projector, basis: tuple[str, ...]) -> Projector:
-    if set(p.in_basis) == set(basis):
+    if p.in_basis == basis:
         return p
     return Projector(tuple(basis), tuple(basis), dict(p.entries))
 

@@ -2,11 +2,12 @@
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
 
-from conftest import S, random_unitary
+from conftest import S, random_balanced_network, random_unitary
 from prepost.hilbert import (
     BasisMismatchError,
     Bra,
@@ -27,6 +28,7 @@ from prepost.hilbert import (
     state_json,
     states_close,
 )
+from prepost.network import stage_unitary
 
 
 def bs_op(ins=("u", "v"), outs=("x", "y")) -> LinearOp:
@@ -178,6 +180,22 @@ def test_projector_class_validates():
         Projector(("a", "b"), ("a", "b"), {("a", "a"): 0.5})
 
 
+@pytest.mark.parametrize("entries", [
+    {("a", "a"): 1, ("a", "b"): 1j},  # idempotent, not symmetric
+    # idempotent and symmetric, but not Hermitian: rejected only through the conjugate
+    {("a", "a"): -1 / 3, ("a", "b"): -2j / 3, ("b", "a"): -2j / 3, ("b", "b"): 4 / 3},
+])
+def test_projector_rejects_non_self_adjoint(entries):
+    with pytest.raises(ValueError, match="not self-adjoint"):
+        Projector(("a", "b"), ("a", "b"), entries)
+
+
+def test_projector_accepts_hermitian_idempotent():
+    entries = {("a", "a"): 0.5, ("a", "b"): 0.5j, ("b", "a"): -0.5j, ("b", "b"): 0.5}
+    proj = Projector(("a", "b"), ("a", "b"), entries)
+    assert proj.entries == entries
+
+
 # ---------------------------------------------------------------------------
 # check_unitary
 
@@ -249,3 +267,112 @@ def test_state_string_forms():
     assert str(Ket({"e": 1j})) == "i|e⟩"
     assert str(Bra({"d": -1j})) == "-i⟨d|"
     assert "0.707107" in str(Ket({"c": S, "d": 1j * S}))
+
+
+# ---------------------------------------------------------------------------
+# canonical order: constructors store sorted order, readers iterate it
+#
+# The reference bodies sort explicitly.  The library's readers iterate the
+# stored order instead, so the two must agree exactly, order and bits.
+
+def _ref_contract(op, state, src):
+    out = {}
+    for key, amp in sorted(op.entries.items()):
+        if key[src] in state.entries:
+            out[key[1 - src]] = out.get(key[1 - src], 0j) + amp * state.entries[key[src]]
+    return type(state)(out)
+
+
+def _ref_compose(after, before):
+    out, by_col = {}, {}
+    for (row, col), amp in sorted(after.entries.items()):
+        by_col.setdefault(col, []).append((row, amp))
+    for (mid, col), amp_b in sorted(before.entries.items()):
+        for row, amp_a in by_col.get(mid, ()):
+            out[(row, col)] = out.get((row, col), 0j) + amp_a * amp_b
+    return LinearOp(before.in_basis, after.out_basis, out)
+
+
+def _ref_pair(bra, ket):
+    return sum((a * ket.entries[m] for m, a in sorted(bra.entries.items()) if m in ket.entries), 0j)
+
+
+def _shuffled(rng, items):
+    items = list(items)
+    rng.shuffle(items)
+    return items
+
+
+def _messy_basis(rng, labels):
+    """The labels shuffled, with some of them repeated."""
+    return tuple(_shuffled(rng, list(labels) + rng.sample(list(labels), 2)))
+
+
+def _random_state(cls, rng, nrng, labels):
+    amps = nrng.normal(size=len(labels)) + 1j * nrng.normal(size=len(labels))
+    return cls(dict(_shuffled(rng, zip(labels, (complex(a) for a in amps)))))
+
+
+def _random_op(rng, nrng, ins, outs):
+    mat = random_unitary(max(len(ins), len(outs)), nrng)
+    entries = {(r, c): complex(mat[i, j]) for i, r in enumerate(outs) for j, c in enumerate(ins)}
+    return LinearOp(_messy_basis(rng, ins), _messy_basis(rng, outs),
+                    dict(_shuffled(rng, entries.items())))
+
+
+def _same_state(x, y):
+    return type(x) is type(y) and list(x.entries.items()) == list(y.entries.items())
+
+
+def _same_op(x, y):
+    return ((x.in_basis, x.out_basis, list(x.entries.items()))
+            == (y.in_basis, y.out_basis, list(y.entries.items())))
+
+
+def _assert_canonical(x):
+    if isinstance(x, LinearOp):
+        for basis in (x.in_basis, x.out_basis):
+            assert list(basis) == sorted(set(basis))
+    assert list(x.entries) == sorted(x.entries)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_stored_order_is_sorted_and_readers_match_sorted_references(seed):
+    rng, nrng = random.Random(seed), np.random.default_rng(seed)
+    labels = [f"m{i}" for i in range(12)]  # "m10" sorts before "m2"
+    ket = _random_state(Ket, rng, nrng, rng.sample(labels, 9))
+    bra = _random_state(Bra, rng, nrng, rng.sample(labels, 9))
+    op = _random_op(rng, nrng, labels, labels)
+    other = _random_op(rng, nrng, labels, labels)
+    net = random_balanced_network(nrng, n_rails=4)
+    stages = [stage_unitary(net, k) for k in range(net.n_stages)]
+    ops = [
+        op,
+        compose(op, other),
+        identity(_messy_basis(rng, labels)),
+        adjoint(op),
+        make_projector(ket.normalized(), basis=_messy_basis(rng, labels)),
+        make_projector(set(rng.sample(labels, 4)), basis=_messy_basis(rng, labels)),
+        *stages,
+    ]
+    for x in [ket, bra, adjoint(ket), adjoint(bra), *ops]:
+        _assert_canonical(x)
+
+    for x in ops[:-len(stages)]:
+        assert _same_state(apply(x, ket), _ref_contract(x, ket, 1))
+        assert _same_state(apply_dual(bra, x), _ref_contract(x, bra, 0))
+        _assert_canonical(apply(x, ket))
+        assert _same_op(compose(x, op), _ref_compose(x, op))
+        assert _same_op(compose(other, x), _ref_compose(other, x))
+    for u in stages:
+        fwd = _random_state(Ket, rng, nrng, u.in_basis)
+        bwd = _random_state(Bra, rng, nrng, u.out_basis)
+        assert _same_state(apply(u, fwd), _ref_contract(u, fwd, 1))
+        assert _same_state(apply_dual(bwd, u), _ref_contract(u, bwd, 0))
+    assert bra.pair(ket) == _ref_pair(bra, ket)
+    assert apply_dual(bra, op).pair(ket) == _ref_pair(_ref_contract(op, bra, 0), ket)
+    for state in (ket, bra):
+        assert state.support == tuple(sorted(state.entries))
+        assert list(state_json(state).items()) == [
+            (m, amplitude_json(a)) for m, a in sorted(state.entries.items())
+        ]
