@@ -40,7 +40,10 @@ without being transported, and only the other draws are traced.  Draws are
 classified in index order, so the statistics, dict order included, are
 those of transporting every draw; a draw whose route raises is never
 between two completed routes, so it is traced and raises at the same
-sample.
+sample.  Draws are counted per route, and the counts are expanded into
+detector and path counts in the order the routes were first seen; a
+terminal or path is first seen with the first route that carries it, so
+the order of every count dict is that of the first draw to reach it.
 """
 from __future__ import annotations
 
@@ -52,7 +55,7 @@ from typing import Iterable, Iterator, Union
 from .hilbert import Bra, Ket
 from .network import (BS_REFLECT, BS_TRANSMIT, Element, Network, OutOfRangeError,
                       backward_chain, forward_chain)
-from .rng import derive_stream
+from .rng import substream_draws
 
 OCCUPANCY_TOL = 1e-12
 EQUAL_WEIGHT_TOL = 1e-9
@@ -412,20 +415,26 @@ def run_ensemble(
     """Run many trajectories with quantiles drawn uniformly from derived
     per-sample streams, and aggregate terminal and path statistics.
 
-    Draws are classified by route (see module docstring); the result equals
-    transporting every draw with ``_run``.
+    Draw ``i`` is ``derive_stream(seed, i).random()``, computed in blocks by
+    ``substream_draws``.  Draws are classified by route (see module
+    docstring) and counted per route; the route counts are then expanded
+    into detector and path counts in the order the routes were first seen,
+    so the result, dict order included, equals transporting every draw with
+    ``_run``.
     """
     if samples < 1:
         raise OutOfRangeError("samples must be >= 1")
     plan = _build_plan(net, direction, _terminal_or_default(net, direction, terminal_state),
                        start_mode, rules)
+    counts: dict[_Route, int] = {}
+    for route in _classify(plan, substream_draws(seed, samples)):
+        counts[route] = counts.get(route, 0) + 1
     detector_counts: dict[str, int] = {}
     conditional: dict[str, dict[tuple[str, ...], int]] = {}
-    draws = (derive_stream(seed, i).random() for i in range(samples))
-    for route in _classify(plan, draws):
-        detector_counts[route.terminal] = detector_counts.get(route.terminal, 0) + 1
+    for route, n in counts.items():
+        detector_counts[route.terminal] = detector_counts.get(route.terminal, 0) + n
         paths = conditional.setdefault(route.terminal, {})
-        paths[route.path] = paths.get(route.path, 0) + 1
+        paths[route.path] = paths.get(route.path, 0) + n
     return EnsembleStats(
         samples=samples,
         seed=seed,

@@ -11,12 +11,23 @@ Per-sample substreams are derived from a master seed and a sample index by
 ``derive_stream(master, index)``, which seeds a fresh generator with
 ``mix64(master XOR mix64((index + 1) * GAMMA))``.  Identical (seed, index)
 pairs always yield identical streams, so ensembles are reproducible and can
-be partitioned across workers.
+be partitioned across workers.  That scheme is the definition of every draw.
+
+``substream_draws(master, count)`` is an exact fast path for ensembles: it
+yields ``derive_stream(master, i).random()`` for every ``i < count``, bit for
+bit, but computes a block of draws at once with a lane kernel on one Python
+int (see its docstring) instead of one generator object per draw.
 """
 from __future__ import annotations
 
+import functools
+import struct
+from typing import Iterator
+
 _MASK = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
+_BLOCK = 4096  # draws per lane-kernel block
+_SLOT = 16  # bytes per lane: the 64-bit lane and 64 bits of headroom
 
 
 def mix64(z: int) -> int:
@@ -60,3 +71,47 @@ def derive_stream(master_seed: int, index: int) -> SplitMix64:
     if index < 0:
         raise ValueError("sample index must be nonnegative")
     return SplitMix64(mix64((master_seed & _MASK) ^ mix64(((index + 1) * GAMMA) & _MASK)))
+
+
+@functools.lru_cache(maxsize=2)
+def _layout(n: int) -> tuple[struct.Struct, int, int]:
+    """Packer of ``n`` lanes (little-endian, one per 128-bit slot), the
+    broadcast constant ``ones`` (1 in every slot) and the 64-bit lane mask."""
+    ones = int.from_bytes(b"\x01".ljust(_SLOT, b"\0") * n, "little")
+    return struct.Struct("<" + "Q8x" * n), ones, ones * _MASK
+
+
+def _mix_lanes(z: int, mask: int) -> int:
+    """``mix64`` of every 64-bit lane of ``z``."""
+    z = (((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9) & mask
+    z = (((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB) & mask
+    return (z ^ (z >> 31)) & mask
+
+
+def substream_draws(master_seed: int, count: int) -> Iterator[float]:
+    """``derive_stream(master_seed, i).random()`` for ``i`` in ``range(count)``.
+
+    Each block of up to ``_BLOCK`` draws runs as a lane kernel on one Python
+    int: draw ``k`` of the block is a 64-bit lane in bits ``[128k, 128k + 64)``.
+    The lanes start as ``(start + 1 + k) * GAMMA``, masked, and pass through
+    the three ``mix64`` rounds of ``derive_stream`` and ``random`` as a few
+    big-int operations over the whole block; ``ones * c`` puts ``c`` in every
+    lane.
+
+    Lanes never mix.  A lane masked to 64 bits times a 64-bit constant stays
+    below 2^128, and a lane plus ``GAMMA`` stays below 2^65, so neither
+    carries into the next slot.  A right shift by at most 64 moves a lane's
+    low bits only into the top half of the slot below, which was zero, and
+    the next mask clears them before any multiplication or addition.  So
+    every lane computes exactly the 64-bit arithmetic of ``mix64``.
+    """
+    seed = master_seed & _MASK
+    for start in range(0, count, _BLOCK):
+        n = min(_BLOCK, count - start)
+        lanes, ones, mask = _layout(n)
+        z = int.from_bytes(lanes.pack(*range(start + 1, start + n + 1)), "little")
+        z = _mix_lanes((z * GAMMA) & mask, mask)
+        z = _mix_lanes(z ^ (ones * seed), mask)
+        z = _mix_lanes((z + ones * GAMMA) & mask, mask)
+        for v in lanes.unpack(z.to_bytes(_SLOT * n, "little")):
+            yield (v >> 11) * 2.0 ** -53

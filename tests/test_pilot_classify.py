@@ -8,6 +8,7 @@ exactly, down to dict order and to the exception a failing draw raises.
 """
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import random_balanced_network
+from prepost.cli import main
 from prepost.hilbert import Ket, adjoint, basis_bra, basis_ket
 from prepost.network import (
     PRESET_DOUBLE_MZ,
@@ -34,7 +36,7 @@ from prepost.pilot import (
     _run,
     run_ensemble,
 )
-from prepost.rng import derive_stream
+from prepost.rng import _BLOCK as BLOCK, derive_stream
 
 RULES = (DEFAULT_RULES, RuleTable(reverse_on_bs_reflection=False))
 SEEDS = range(10)
@@ -150,6 +152,41 @@ def test_failing_draws_raise_as_per_draw_transport(rules):
                     assert outcome(run_ensemble, *args) == expected, (seed, samples)
                     kinds.add(expected[0])
     assert kinds == {"ok", "UnsupportedMergeError"}
+
+
+def test_ensembles_across_draw_block_edges_equal_per_draw_transport():
+    # Sizes one and two blocks past an edge of substream_draws' kernel, on a
+    # cascade reversed with its full functional and forward under the
+    # preserve rule.
+    net = mz_cascade(random.Random("block-edges"), 4)
+    runs = [(direction, terminal, start_mode, DEFAULT_RULES)
+            for direction, terminal, start_mode in cases(net, all_ports=True)
+            if direction == "reversed" and start_mode is not None]
+    assert runs
+    runs.append(("forward", None, None, RULES[1]))
+    for direction, terminal, start_mode, rules in runs:
+        for seed in (0, 2 ** 64 - 1):
+            for samples in (BLOCK + 1, 2 * BLOCK + 3):
+                args = (net, samples, seed, direction, terminal, start_mode, rules)
+                assert repr(run_ensemble(*args)) == repr(reference_ensemble(*args)), (
+                    direction, seed, samples)
+
+
+# sha256 of the stdout of ``bohm --preset`` ensembles, recorded before draws
+# were computed by substream_draws.
+GOLDEN_BOHM = [
+    (["--samples", "100000", "--seed", "1", "--format", "json"],
+     "81d5ae900514418bca3c367da59335d056d4ef2b6c020340f50198ac8dd6b3b6"),
+    (["--samples", "8195", "--seed", "18446744073709551615", "--format", "text"],
+     "842249f7e780fd94bd4bc9d12b8a45764a5e5c46232d55a0f5a5534206abc09a"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN_BOHM, ids=("json-100000", "text-8195"))
+def test_bohm_ensemble_output_is_golden(argv, digest, capsys):
+    assert main(["bohm", "--preset", *argv]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_large_preset_ensemble_equals_per_draw_transport():
