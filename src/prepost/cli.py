@@ -121,32 +121,31 @@ def _load_network(args) -> Network:
     try:
         with open(args.network, "r", encoding="utf-8") as fh:
             return build_network(fh.read())
-    except (OSError, NetworkConfigError) as exc:
+    except (OSError, UnicodeDecodeError, NetworkConfigError) as exc:
         raise ConfigFileError(f"network file {args.network!r}: {exc}") from exc
 
 
 def _projector_set(net: Network, cut: int, basis_arg: str) -> ProjectorSet:
-    live = net.live[cut]
     if basis_arg == "path":
-        return which_path_set(live)
+        return which_path_set(net.live[cut])
     try:
         with open(basis_arg, "r", encoding="utf-8") as fh:
             basis_file = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ConfigFileError(f"projector file {basis_arg!r}: {exc}") from exc
     records = basis_file.get("outcomes", []) if isinstance(basis_file, dict) else None
     if not isinstance(records, list):
         raise ConfigFileError(f"projector file {basis_arg!r}: expected an object with an "
                               "'outcomes' list")
     try:
-        return ProjectorSet(tuple(_outcome(rec, live) for rec in records))
+        return ProjectorSet(tuple(_outcome(rec) for rec in records))
     except ConfigFileError:
         raise
     except (ValueError, OverflowError) as exc:  # e.g. an empty or zero-norm projector
         raise ConfigFileError(f"projector file {basis_arg!r}: {exc}") from exc
 
 
-def _outcome(rec, live: tuple[str, ...]) -> tuple[str, Projector]:
+def _outcome(rec) -> tuple[str, Projector]:
     if not isinstance(rec, dict):
         raise ConfigFileError("projector outcome must be an object")
     label = rec.get("label")
@@ -156,13 +155,13 @@ def _outcome(rec, live: tuple[str, ...]) -> tuple[str, Projector]:
         modes = rec["modes"]
         if not (isinstance(modes, list) and all(isinstance(m, str) for m in modes)):
             raise ConfigFileError(f"outcome {label!r}: 'modes' must be a list of mode labels")
-        return label, make_projector(set(modes), basis=live)
+        return label, make_projector(set(modes))
     if "ket" in rec:
         ket = rec["ket"]
         if not (isinstance(ket, dict) and all(_is_amplitude(a) for a in ket.values())):
             raise ConfigFileError(f"outcome {label!r}: 'ket' must map modes to [re, im]")
         amps = {m: complex(re, im) for m, (re, im) in ket.items()}
-        return label, make_projector(Ket(amps).normalized(), basis=live)
+        return label, make_projector(Ket(amps).normalized())
     raise ConfigFileError(f"outcome {label!r} needs 'modes' or 'ket'")
 
 

@@ -235,8 +235,9 @@ def make_projector(
 ) -> Projector:
     """Projector |t><t| for a normalized ket, or sum of |m><m| over a label subset.
 
-    ``basis`` optionally embeds the projector in a larger space (extra labels
-    get zero rows and columns).
+    The projector acts on the target's own labels.  ``basis`` only declares
+    a larger space (extra labels get zero rows and columns); no ABL result
+    depends on it.
     """
     if isinstance(target, Ket):
         if not target.is_normalized(tol):

@@ -124,7 +124,7 @@ def build_network(config: Union[str, Mapping]) -> Network:
     if isinstance(config, str):
         try:
             config = json.loads(config)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # also nesting too deep to decode
             raise NetworkConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(config, Mapping):
         raise NetworkConfigError("config must be a JSON object")

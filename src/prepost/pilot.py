@@ -180,9 +180,6 @@ class TransferContext:
     direction: str = "forward"
     rules: RuleTable = DEFAULT_RULES
 
-    def occupied(self, port: str) -> bool:
-        return abs(self.amplitudes.get(port, 0j)) > OCCUPANCY_TOL
-
 
 def element_transfer(
     element: Element,
@@ -208,7 +205,7 @@ def element_transfer(
         raise TrajectoryError(f"particle on {mode!r} is not an input of this beamsplitter")
     amp0, amp1 = context.amplitudes.get(p_in0, 0j), context.amplitudes.get(p_in1, 0j)
     occ0, occ1 = abs(amp0) > OCCUPANCY_TOL, abs(amp1) > OCCUPANCY_TOL
-    if not context.occupied(mode):
+    if not (occ0 if mode == p_in0 else occ1):
         raise TrajectoryError(f"particle on {mode!r} but that port carries no amplitude")
 
     # Transmission keeps the port pairing (in0<->out0, in1<->out1).

@@ -97,8 +97,10 @@ class ProjectorSet:
     """Ordered measurement outcomes: (label, projector) pairs.
 
     Projectors may cover multi-dimensional subspaces (degenerate outcomes).
-    They must be mutually orthogonal and sum to the identity on the space
-    they are used in.  :meth:`validate` checks the sum alone, which is
+    Each acts on the labels it declares (its ``in_basis``) and is zero on
+    every other mode, so it need not be padded to the live space.  They
+    must be mutually orthogonal and sum to the identity on the space they
+    are used in.  :meth:`validate` checks the sum alone, which is
     enough: every :class:`Projector` is idempotent and self-adjoint, and
     such projectors that sum to the identity are mutually orthogonal.  For
     x = P_i x,
@@ -132,10 +134,10 @@ class ProjectorSet:
                 total[k] = total.get(k, 0j) + v
         if self.outcomes and op_close(LinearOp(basis, basis, total), identity(basis), tol):
             return
-        embedded = [_embed(p, basis) for _, p in self.outcomes]
-        for i in range(len(embedded)):
-            for j in range(i + 1, len(embedded)):
-                prod = compose(embedded[i], embedded[j])
+        ops = [LinearOp(basis, basis, p.entries) for _, p in self.outcomes]
+        for i in range(len(ops)):
+            for j in range(i + 1, len(ops)):
+                prod = compose(ops[i], ops[j])
                 if any(abs(a) > tol for a in prod.entries.values()):
                     raise IncompleteProjectorSetError(
                         f"projectors {self.outcomes[i][0]!r} and {self.outcomes[j][0]!r} overlap"
@@ -145,18 +147,9 @@ class ProjectorSet:
         )
 
 
-def _embed(p: Projector, basis: tuple[str, ...]) -> Projector:
-    if p.in_basis == basis:
-        return p
-    return Projector(tuple(basis), tuple(basis), dict(p.entries))
-
-
 def which_path_set(modes: tuple[str, ...]) -> ProjectorSet:
     """One rank-1 projector per mode, labeled by the mode."""
-    basis = tuple(sorted(modes))
-    return ProjectorSet(
-        tuple((m, make_projector({m}, basis=basis)) for m in basis)
-    )
+    return ProjectorSet(tuple((m, make_projector({m})) for m in sorted(modes)))
 
 
 def two_state_at_cut(net: Network, pre: Ket, post: Bra, cut: int) -> TwoStateVector:
@@ -179,11 +172,15 @@ def _check_normalized(pre: Ket, post: Bra) -> None:
 
 
 def abl_distribution(tsv: TwoStateVector, outcomes: ProjectorSet) -> dict[str, float]:
-    """Conditional probabilities for every outcome of an intermediate measurement."""
+    """Conditional probabilities for every outcome of an intermediate measurement.
+
+    Each projector meets the pre ket on its own labels: the ket is restricted
+    to them, which drops only amplitudes the projector has no column for.
+    """
     outcomes.validate(tsv.basis)
     weights = {}
     for label, proj in outcomes.outcomes:
-        amp = tsv.post.pair(apply(_embed(proj, tsv.basis), tsv.pre))
+        amp = tsv.post.pair(apply(proj, Ket({m: tsv.pre[m] for m in proj.in_basis})))
         weights[label] = abs(amp) ** 2
     denom = sum(weights.values())
     if denom <= DENOMINATOR_TOL:
@@ -260,8 +257,8 @@ def spin_state(n: tuple[float, float, float], sign: int = +1) -> Ket:
 def spin_observable(n: tuple[float, float, float]) -> ProjectorSet:
     """Projector pair for the +1/2 and -1/2 outcomes of the spin along n."""
     _check_unit(n)
-    plus = make_projector(spin_state(n, +1), basis=SPIN_LABELS)
-    minus = make_projector(spin_state(n, -1), basis=SPIN_LABELS)
+    plus = make_projector(spin_state(n, +1))
+    minus = make_projector(spin_state(n, -1))
     return ProjectorSet((("+1/2", plus), ("-1/2", minus)))
 
 

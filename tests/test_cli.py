@@ -199,6 +199,27 @@ def test_malformed_projector_file_exits_3(tmp_path, capsys, basis_file):
     assert "Traceback" not in err
 
 
+UNDECODABLE = {
+    "not-utf8": b'{"modes": ["a\xff"]}',
+    "nested-too-deep": b"[" * 100_000 + b"]" * 100_000,
+}
+
+
+@pytest.mark.parametrize("flag", ["--network", "--basis"])
+@pytest.mark.parametrize("content", UNDECODABLE.values(), ids=UNDECODABLE.keys())
+def test_undecodable_config_file_exits_3(tmp_path, capsys, flag, content):
+    path = tmp_path / "config.json"
+    path.write_bytes(content)
+    network = ["--network", str(path)] if flag == "--network" else ["--preset"]
+    basis = ["--basis", str(path)] if flag == "--basis" else []
+    code, out, err = run_cli(
+        ["abl", *network, "--pre", "a:1,0", "--post", "g:1,0", "--cut", "1", *basis], capsys
+    )
+    assert (code, out) == (3, "")
+    assert str(path) in err
+    assert "Traceback" not in err
+
+
 def test_state_on_non_live_mode_exits_4(capsys):
     code, _, err = run_cli(
         ["abl", "--preset", "--pre", "a:1,0", "--post", "a:1,0", "--cut", "1"], capsys

@@ -90,6 +90,16 @@ def test_split_from_second_port():
     assert element_transfer(bs, "v", 0.75, ctx) == ("x", 0.5)
 
 
+@pytest.mark.parametrize("direction", ["forward", "reversed"])
+@pytest.mark.parametrize("mode, amplitudes", [("u", {"v": 1.0}), ("v", {"u": 1.0}),
+                                              ("u", {"u": 1e-13, "v": 1.0})])
+def test_particle_on_an_empty_input_port_is_rejected(direction, mode, amplitudes):
+    ports = (("u", "v"), ("x", "y"))  # (inputs, outputs) in the traversal direction
+    bs = Element("beamsplitter", *(ports if direction == "forward" else ports[::-1]))
+    with pytest.raises(TrajectoryError, match="carries no amplitude"):
+        element_transfer(bs, mode, 0.3, TransferContext(amplitudes, direction=direction))
+
+
 def test_merge_reflected_input_fills_leading_half():
     bs = Element("beamsplitter", ("d", "c"), ("e", "f"))
     ctx = TransferContext({"c": S, "d": 1j * S})

@@ -22,6 +22,7 @@ from prepost.hilbert import (
     Bra,
     Ket,
     LinearOp,
+    Projector,
     adjoint,
     apply,
     basis_bra,
@@ -175,6 +176,21 @@ def test_overlapping_set_rejected(net):
 def test_validate_messages(declared, live, outcomes, message):
     pset = ProjectorSet(tuple((label, make_projector(modes, basis=declared))
                               for label, modes in outcomes))
+    with pytest.raises(IncompleteProjectorSetError, match=message):
+        pset.validate(live)
+
+
+@pytest.mark.parametrize(
+    "live, outcomes, message",
+    [
+        (("c", "d"), (("d", {"d"}), ("e", {"e"})),
+         "projector 'e' uses labels outside the live space"),
+        (("c", "d", "e"), (("cd", {"c", "d"}), ("c", {"c"})), "projectors 'cd' and 'c' overlap"),
+        (("c", "d", "e"), (("c", {"c"}), ("d", {"d"})), "does not sum to the identity"),
+    ],
+)
+def test_validate_messages_for_projectors_on_their_own_labels(live, outcomes, message):
+    pset = ProjectorSet(tuple((label, make_projector(modes)) for label, modes in outcomes))
     with pytest.raises(IncompleteProjectorSetError, match=message):
         pset.validate(live)
 
@@ -424,6 +440,79 @@ def test_performed_measurement_lands_in_d(net):
     tsv = two_state_at_cut(net, basis_ket("a"), basis_bra("g"), 1)
     dist = abl_distribution(tsv, which_path_set(("c", "d")))
     assert abs(dist["d"] - oracle["d"]) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# projectors act on their own labels
+
+def _padded_reference(tsv: TwoStateVector, pset: ProjectorSet) -> dict[str, float]:
+    """The ABL rule with every projector padded to the live basis first."""
+    weights = {}
+    for label, p in pset.outcomes:
+        padded = Projector(tsv.basis, tsv.basis, p.entries)
+        weights[label] = abs(tsv.post.pair(apply(padded, tsv.pre))) ** 2
+    denom = sum(weights.values())
+    return {label: w / denom for label, w in weights.items()}
+
+
+def _rotated_set(live: tuple[str, ...], rng: np.random.Generator, pad: bool) -> ProjectorSet:
+    """A rotated pair on the first two live modes, which-path on the rest."""
+    declared = {"basis": live} if pad else {}
+    theta, phi = rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)
+    c, s, w = math.cos(theta), math.sin(theta), cmath.exp(1j * phi)
+    u, v = live[:2]
+    outcomes = [
+        ("plus", make_projector(Ket({u: c, v: s * w}).normalized(), **declared)),
+        ("minus", make_projector(Ket({u: -s, v: c * w}).normalized(), **declared)),
+    ]
+    outcomes += [(m, make_projector({m}, **declared)) for m in live[2:]]
+    return ProjectorSet(tuple(outcomes))
+
+
+def test_padding_changes_no_distribution():
+    rng = np.random.default_rng(29)
+    checked = 0
+    for trial in range(24):
+        net = random_balanced_network(rng, n_rails=3 + trial % 6)
+        pre = random_ket(list(net.live[0]), rng)
+        post = random_bra(list(net.live[net.n_stages]), rng)
+        for cut in range(net.n_cuts):
+            live = net.live[cut]
+            tsv = two_state_at_cut(net, pre, post, cut)
+            padded_path = ProjectorSet(
+                tuple((m, make_projector({m}, basis=live)) for m in sorted(live)))
+            families = [
+                [which_path_set(live), padded_path],
+                [_rotated_set(live, np.random.default_rng([29, trial, cut]), pad)
+                 for pad in (False, True)],
+            ]
+            for unpadded, padded in families:
+                expected = list(_padded_reference(tsv, unpadded).items())
+                assert list(abl_distribution(tsv, unpadded).items()) == expected
+                assert list(abl_distribution(tsv, padded).items()) == expected
+                checked += 1
+    assert checked > 100
+
+
+def test_certainty_report_composes_one_label_projectors_only(monkeypatch):
+    import prepost.hilbert
+    import prepost.twotime
+
+    rng = np.random.default_rng(30)
+    net = random_balanced_network(rng, n_rails=16)
+    pre = random_ket(list(net.live[0]), rng)
+    post = random_bra(list(net.live[net.n_stages]), rng)
+    bases = []
+
+    def recording(after, before):
+        bases.append((after.in_basis, after.out_basis, before.in_basis, before.out_basis))
+        return compose(after, before)
+
+    monkeypatch.setattr(prepost.hilbert, "compose", recording)
+    monkeypatch.setattr(prepost.twotime, "compose", recording)
+    certainty_report(net, pre, post)
+    assert len(bases) == sum(len(live) for live in net.live)
+    assert all(len(b) == 1 for call in bases for b in call)
 
 
 # ---------------------------------------------------------------------------
