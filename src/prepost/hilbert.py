@@ -17,6 +17,7 @@ immutable after construction and all operations are pure.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Union
@@ -144,15 +145,19 @@ class LinearOp:
 
 
 class Projector(LinearOp):
-    """A LinearOp validated to be idempotent and self-adjoint."""
+    """A LinearOp validated to be idempotent and self-adjoint.  Both checks run
+    in place on the entries, deciding as ``op_close(compose(P, P), P)`` would."""
 
     def __post_init__(self):
         super().__post_init__()
         if self.in_basis != self.out_basis:
             raise ValueError("projector bases must coincide")
-        if not op_close(compose(self, self), self):
+        square = _product(self.entries, self.entries)
+        if not all(map(cmath.isfinite, square.values())):
+            LinearOp(self.in_basis, self.in_basis, square)  # raises as compose would
+        if not _entries_close(square, self.entries, DEFAULT_TOL):
             raise ValueError("operator is not idempotent")
-        if any(abs(a - self[(c, r)].conjugate()) > DEFAULT_TOL
+        if any(abs(a - self.entries.get((c, r), 0j).conjugate()) > DEFAULT_TOL
                for (r, c), a in self.entries.items()):
             raise ValueError("operator is not self-adjoint")
 
@@ -212,15 +217,20 @@ def compose(after: LinearOp, before: LinearOp) -> LinearOp:
         raise BasisMismatchError(
             f"cannot compose: inner bases differ ({before.out_basis} vs {after.in_basis})"
         )
+    return LinearOp(before.in_basis, after.out_basis, _product(after.entries, before.entries))
+
+
+def _product(after: Mapping, before: Mapping) -> dict[tuple[str, str], complex]:
+    """Raw entries of after @ before, unchecked and unpruned, in a fixed sum order."""
     out: dict[tuple[str, str], complex] = {}
     by_col: dict[str, list[tuple[str, complex]]] = {}
-    for (row, col), amp in after.entries.items():
+    for (row, col), amp in after.items():
         by_col.setdefault(col, []).append((row, amp))
-    for (mid, col), amp_b in before.entries.items():
+    for (mid, col), amp_b in before.items():
         for row, amp_a in by_col.get(mid, ()):
             key = (row, col)
             out[key] = out.get(key, 0j) + amp_a * amp_b
-    return LinearOp(before.in_basis, after.out_basis, out)
+    return out
 
 
 def identity(labels: Iterable[str]) -> LinearOp:
@@ -266,17 +276,20 @@ def check_unitary(op: LinearOp, tol: float = DEFAULT_TOL) -> bool:
 def op_close(a: LinearOp, b: LinearOp, tol: float = DEFAULT_TOL) -> bool:
     if set(a.in_basis) != set(b.in_basis) or set(a.out_basis) != set(b.out_basis):
         return False
-    return _entries_close(a, b, tol)
+    return _entries_close(a.entries, b.entries, tol)
 
 
 def states_close(
     a: Union[Ket, Bra], b: Union[Ket, Bra], tol: float = DEFAULT_TOL
 ) -> bool:
-    return type(a) is type(b) and _entries_close(a, b, tol)
+    return type(a) is type(b) and _entries_close(a.entries, b.entries, tol)
 
 
-def _entries_close(a, b, tol: float) -> bool:
-    return all(abs(a[k] - b[k]) <= tol for k in set(a.entries) | set(b.entries))
+def _entries_close(a: Mapping, b: Mapping, tol: float) -> bool:
+    """Entry maps equal within ``tol``; values of ``a`` below PRUNE_TOL count as 0."""
+    return (all(abs((x if abs(x) >= PRUNE_TOL else 0j) - b.get(k, 0j)) <= tol
+                for k, x in a.items())
+            and all(k in a or abs(y) <= tol for k, y in b.items()))
 
 
 def format_amplitude(a: complex, digits: int = 6) -> str:

@@ -19,20 +19,20 @@ stage over the labels ``down``/``up`` (free Hamiltonian zero).
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 from .hilbert import (
     DEFAULT_TOL,
+    PRUNE_TOL,
     Bra,
     Ket,
     LinearOp,
     Projector,
-    apply,
+    _entries_close,
     compose,
-    identity,
     make_projector,
-    op_close,
 )
 from .network import Network, backward_chain, build_network, evolve, forward_chain
 
@@ -118,21 +118,19 @@ class ProjectorSet:
             raise ValueError(f"outcome labels {labels} are not distinct")
 
     def validate(self, basis: tuple[str, ...], tol: float = DEFAULT_TOL) -> None:
-        """Accept the set iff it sums to the identity on ``basis`` within ``tol``.
-
-        Only a set that fails is searched pairwise, to report an overlap
-        ahead of an incomplete sum.
-        """
+        """Accept the set iff its summed entries match the identity's on ``basis``
+        within ``tol``, compared in place; only a failed set is searched pairwise
+        (an overlap is reported ahead of an incomplete sum)."""
         total: dict[tuple[str, str], complex] = {}
         live = set(basis)
         for label, p in self.outcomes:
-            if set(p.in_basis) - live:
+            if not live.issuperset(p.in_basis):
                 raise IncompleteProjectorSetError(
                     f"projector {label!r} uses labels outside the live space"
                 )
             for k, v in p.entries.items():
                 total[k] = total.get(k, 0j) + v
-        if self.outcomes and op_close(LinearOp(basis, basis, total), identity(basis), tol):
+        if self.outcomes and _entries_close(total, {(m, m): 1.0 + 0j for m in basis}, tol):
             return
         ops = [LinearOp(basis, basis, p.entries) for _, p in self.outcomes]
         for i in range(len(ops)):
@@ -174,13 +172,21 @@ def _check_normalized(pre: Ket, post: Bra) -> None:
 def abl_distribution(tsv: TwoStateVector, outcomes: ProjectorSet) -> dict[str, float]:
     """Conditional probabilities for every outcome of an intermediate measurement.
 
-    Each projector meets the pre ket on its own labels: the ket is restricted
-    to them, which drops only amplitudes the projector has no column for.
+    Each weight |sum_r post[r] (sum_c P[r,c] pre[c])|^2 is read in place from
+    the projector's entries: row sums are checked and pruned as ``apply`` does
+    and every sum runs in stored order, as in ``post.pair(apply(P, pre))``.
     """
     outcomes.validate(tsv.basis)
+    post, pre = tsv.post.entries, tsv.pre.entries
     weights = {}
     for label, proj in outcomes.outcomes:
-        amp = tsv.post.pair(apply(proj, Ket({m: tsv.pre[m] for m in proj.in_basis})))
+        rows: dict[str, complex] = {}
+        for (r, c), a in proj.entries.items():
+            if c in pre:
+                rows[r] = rows.get(r, 0j) + a * pre[c]
+        if not all(map(cmath.isfinite, rows.values())):
+            Ket(rows)  # raises as apply would
+        amp = sum((post[r] * s for r, s in rows.items() if r in post and abs(s) >= PRUNE_TOL), 0j)
         weights[label] = abs(amp) ** 2
     denom = sum(weights.values())
     if denom <= DENOMINATOR_TOL:
@@ -216,11 +222,12 @@ def certainty_report(net: Network, pre: Ket, post: Bra) -> list[CertaintyEntry]:
     """
     _check_normalized(pre, post)
     chains = zip(forward_chain(net, pre), backward_chain(net, post))
+    paths = {m: make_projector({m}) for m in set().union(*net.live)}
     entries = []
     for cut, (fwd, bwd) in enumerate(chains):
         tsv = TwoStateVector(post=bwd, pre=fwd, cut=cut, basis=net.live[cut])
-        dist = abl_distribution(tsv, which_path_set(net.live[cut]))
-        for mode, p in sorted(dist.items()):
+        dist = abl_distribution(tsv, ProjectorSet(tuple((m, paths[m]) for m in tsv.basis)))
+        for mode, p in dist.items():
             if p >= CERTAINTY_THRESHOLD:
                 entries.append(CertaintyEntry(cut=cut, mode=mode, probability=p))
     return entries

@@ -196,6 +196,63 @@ def test_projector_accepts_hermitian_idempotent():
     assert proj.entries == entries
 
 
+def _idempotence_by_compose(basis, entries):
+    """The check Projector made by building P·P: None if accepted, else the message."""
+    op = LinearOp(basis, basis, entries)
+    try:
+        return None if op_close(compose(op, op), op) else "operator is not idempotent"
+    except ValueError as exc:
+        return str(exc)
+
+
+def _idempotence_in_place(basis, entries):
+    try:
+        Projector(basis, basis, entries)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _hermitian_family(rng):
+    """Rank-1 and rank-2 projectors, each moved by a Hermitian perturbation of
+    size 5e-15 to 1e-10 (around PRUNE_TOL and DEFAULT_TOL)."""
+    for trial in range(60):
+        n = 2 + trial % 4
+        basis = tuple(f"m{k}" for k in range(n))
+        u = random_unitary(n, rng) if trial % 3 else np.eye(n)
+        cols = u[:, : 1 + trial % 2]
+        p = cols @ cols.conj().T
+        e = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        e = (e + e.conj().T) / np.abs(e + e.conj().T).max()
+        for delta in (0.0, 5e-15, 2e-14, 1e-13, 3e-13, 1e-12, 3e-12, 1e-11, 1e-10):
+            m = p + delta * e
+            entries = {}
+            for i, r in enumerate(basis):
+                for j, c in enumerate(basis[i:], start=i):
+                    entries[(r, c)] = complex(m[i, j])
+                    entries[(c, r)] = complex(m[i, j]).conjugate()
+            yield basis, entries
+
+
+def test_in_place_idempotence_check_matches_compose():
+    rng = np.random.default_rng(41)
+    cases = list(_hermitian_family(rng))
+    cases += [
+        (("a", "b"), {("a", "b"): 1, ("b", "a"): 1}),  # swap: P·P is off P's support
+        (("a", "b", "c"), {("a", "b"): 1, ("b", "a"): 1, ("c", "c"): 1}),
+        (("a",), {("a", "a"): 1e200}),  # P·P overflows
+        (("a", "b", "c"), {("a", "b"): 1e200, ("b", "a"): 1e200, ("c", "c"): 1}),
+        (("a", "b"), {("a", "a"): 1e200, ("a", "b"): 1e200, ("b", "a"): 1e200,
+                      ("b", "b"): -1e200}),
+    ]
+    outcomes = set()
+    for basis, entries in cases:
+        expected = _idempotence_by_compose(basis, entries)
+        assert _idempotence_in_place(basis, entries) == expected, (basis, entries)
+        outcomes.add(expected if expected is None else expected.split(" for ")[0])
+    assert outcomes == {None, "operator is not idempotent", "non-finite amplitude"}
+
+
 # ---------------------------------------------------------------------------
 # check_unitary
 
