@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .hilbert import Bra, Ket, adjoint, basis_bra, basis_ket, states_close
+from .hilbert import Bra, Ket, adjoint, basis_bra, basis_ket, states_close, _left_sum
 from .network import Network, backward_chain, evolve, forward_chain, preset_double_mz
 from .pilot import EMPTY_WAVE_DIAGNOSTIC, run_ensemble, run_trajectory
 from .pointer import MeasurementSetup, decode_reading, measure_backward, measure_forward
@@ -244,7 +244,7 @@ def _measured_intermediate_item(net: Network) -> DemoItem:
         collapsed = Ket({mode: amp / abs(amp)})
         arrived = evolve(net, collapsed, 1, net.n_stages)
         joint[mode] = weight * abs(post.pair(arrived)) ** 2
-    total = sum(joint.values())
+    total = _left_sum(joint.values())
     p_d = joint["d"] / total
     ok = abs(p_d - 1.0) <= TOL and joint["c"] <= TOL
     return _item(

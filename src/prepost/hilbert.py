@@ -30,9 +30,18 @@ class BasisMismatchError(ValueError):
     """A state or operator was used on labels outside its declared basis."""
 
 
-def _check_finite(value: complex, label: str) -> complex:
+def _left_sum(values: Iterable, zero=0.0):
+    """Left fold from ``zero``: the same bits on every Python (``sum`` compensates from 3.12)."""
+    acc = zero
+    for x in values:
+        acc += x
+    return acc
+
+
+def _check_finite(value: complex, key: Union[str, tuple[str, str]]) -> complex:
     value = complex(value)
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+    if not cmath.isfinite(value):
+        label = key if isinstance(key, str) else "({},{})".format(*key)
         raise ValueError(f"non-finite amplitude for {label!r}: {value!r}")
     return value
 
@@ -65,7 +74,7 @@ class _State:
         return tuple(self.entries)
 
     def norm(self) -> float:
-        return math.sqrt(sum(abs(a) ** 2 for a in self.entries.values()))
+        return math.sqrt(_left_sum(abs(a) ** 2 for a in self.entries.values()))
 
     def is_normalized(self, tol: float = DEFAULT_TOL) -> bool:
         return abs(self.norm() - 1.0) <= tol
@@ -106,7 +115,7 @@ class Bra(_State):
 
     def pair(self, ket: Ket) -> complex:
         """Contraction <bra|ket>: sum over entries of bra[m] * ket[m]."""
-        return sum(
+        return _left_sum(
             (a * ket.entries[m] for m, a in self.entries.items() if m in ket.entries),
             0j,
         )
@@ -126,18 +135,18 @@ class LinearOp:
     entries: dict[tuple[str, str], complex] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "in_basis", tuple(sorted(set(self.in_basis))))
-        object.__setattr__(self, "out_basis", tuple(sorted(set(self.out_basis))))
         in_set, out_set = set(self.in_basis), set(self.out_basis)
+        object.__setattr__(self, "in_basis", tuple(sorted(in_set)))
+        object.__setattr__(self, "out_basis", tuple(sorted(out_set)))
         cleaned = {}
-        for (row, col) in sorted(self.entries):
+        for row, col in sorted(self.entries):
             if row not in out_set or col not in in_set:
                 raise BasisMismatchError(
                     f"entry ({row!r}, {col!r}) outside declared bases"
                 )
-            amp = _check_finite(self.entries[(row, col)], f"({row},{col})")
+            amp = _check_finite(self.entries[row, col], (row, col))
             if abs(amp) >= PRUNE_TOL:
-                cleaned[(row, col)] = amp
+                cleaned[row, col] = amp
         object.__setattr__(self, "entries", cleaned)
 
     def __getitem__(self, key: tuple[str, str]) -> complex:

@@ -13,15 +13,17 @@ on final-cut modes; detection probability is |amplitude|^2 there.
 
 Equal path lengths are encoded structurally: the two modes entering a
 beamsplitter must have become live at the same cut ("balanced arms").
-Kets evolve forward by the stage unitaries; bras evolve backward by right
-composition, which makes the pairing <post|pre> identical at every cut.
+Validation builds each stage unitary once; kets evolve forward by them and
+bras evolve backward by right composition, which makes the pairing
+<post|pre> identical at every cut.
 """
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping  # typing.Mapping's isinstance is several times slower
 from dataclasses import dataclass, field
-from typing import Mapping, Union
+from typing import Union
 
 from .hilbert import (
     Bra,
@@ -96,7 +98,7 @@ class Network:
     detectors: dict[str, str]
     sources: tuple[str, ...]
     live: tuple[tuple[str, ...], ...]  # live modes at each cut 0..n
-    _unitaries: dict[int, LinearOp] = field(default_factory=dict, repr=False, compare=False)
+    _unitaries: tuple[LinearOp, ...] = field(repr=False, compare=False)  # one per stage
 
     @property
     def n_stages(self) -> int:
@@ -238,6 +240,7 @@ def _validate(
     live_since: dict[str, int] = {m: 0 for m in inferred_inputs}
     live: set[str] = set(inferred_inputs)
     live_per_cut: list[tuple[str, ...]] = [tuple(sorted(live))]
+    unitaries: list[LinearOp] = []
 
     for k, stage in enumerate(stages):
         seen_ports: set[str] = set()
@@ -255,6 +258,7 @@ def _validate(
             seen_ports |= distinct
         consumed: dict[str, Element] = {}
         produced: dict[str, Element] = {}
+        entries: dict[tuple[str, str], complex] = {}
         for el in stage:
             if el.kind == "detector":
                 if el.ins[0] not in live:
@@ -275,12 +279,18 @@ def _validate(
                     )
                 produced[m] = el
             if el.kind == "beamsplitter":
-                du, dv = live_since[el.ins[0]], live_since[el.ins[1]]
+                (u, v), (x, y) = el.ins, el.outs
+                du, dv = live_since[u], live_since[v]
                 if du != dv:
                     raise UnbalancedArmsError(
-                        f"stage {k}: beamsplitter merges {el.ins[0]!r} (live since cut {du}) "
-                        f"with {el.ins[1]!r} (live since cut {dv})"
+                        f"stage {k}: beamsplitter merges {u!r} (live since cut {du}) "
+                        f"with {v!r} (live since cut {dv})"
                     )
+                entries[(x, u)] = entries[(y, v)] = BS_TRANSMIT
+                entries[(y, u)] = entries[(x, v)] = BS_REFLECT
+            else:  # mirror
+                entries[(el.outs[0], el.ins[0])] = 1.0 + 0j
+        entries.update({(m, m): 1.0 + 0j for m in live_per_cut[-1] if m not in consumed})
         for m in consumed:
             live.discard(m)
             live_since.pop(m, None)
@@ -288,6 +298,7 @@ def _validate(
             live.add(m)
             live_since[m] = k + 1
         live_per_cut.append(tuple(sorted(live)))
+        unitaries.append(LinearOp(live_per_cut[-2], live_per_cut[-1], entries))
 
     return Network(
         modes=modes,
@@ -295,6 +306,7 @@ def _validate(
         detectors=detectors,
         sources=tuple(sorted(source_set)),
         live=tuple(live_per_cut),
+        _unitaries=tuple(unitaries),
     )
 
 
@@ -327,38 +339,14 @@ def preset_double_mz() -> Network:
 
 
 def stage_unitary(net: Network, stage: int) -> LinearOp:
-    """Block unitary of one stage: live(cut stage) -> live(cut stage+1).
+    """Block unitary of one stage, built with the network: live(cut stage) -> live(cut stage+1).
 
     Beamsplitters contribute the 2x2 block ((1, i), (i, 1))/sqrt(2); mirrors
     carry unit amplitude; untouched live modes pass through unchanged.
     """
-    if not 0 <= stage < net.n_stages:
+    if not isinstance(stage, int) or not 0 <= stage < net.n_stages:
         raise OutOfRangeError(f"stage {stage!r} out of range 0..{net.n_stages - 1}")
-    cached = net._unitaries.get(stage)
-    if cached is not None:
-        return cached
-    in_basis = net.live[stage]
-    out_basis = net.live[stage + 1]
-    entries: dict[tuple[str, str], complex] = {}
-    touched: set[str] = set()
-    for el in net.stages[stage]:
-        if el.kind == "beamsplitter":
-            u, v = el.ins
-            x, y = el.outs
-            entries[(x, u)] = BS_TRANSMIT
-            entries[(y, u)] = BS_REFLECT
-            entries[(x, v)] = BS_REFLECT
-            entries[(y, v)] = BS_TRANSMIT
-            touched |= {u, v}
-        elif el.kind == "mirror":
-            entries[(el.outs[0], el.ins[0])] = 1.0 + 0j
-            touched.add(el.ins[0])
-    for m in in_basis:
-        if m not in touched:
-            entries[(m, m)] = 1.0 + 0j
-    op = LinearOp(in_basis, out_basis, entries)
-    net._unitaries[stage] = op
-    return op
+    return net._unitaries[stage]
 
 
 def _traverse(

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
-from .hilbert import Bra, Ket, basis_bra, basis_ket, state_json
+from .hilbert import Bra, Ket, basis_bra, basis_ket, state_json, _left_sum
 from .network import OutOfRangeError
 from .rng import derive_stream
 
@@ -81,7 +81,7 @@ def _weights(state: Union[Ket, Bra], setup: MeasurementSetup) -> list[float]:
             f"state supported on {sorted(outside)} outside the measured eigenbasis"
         )
     weights = [abs(state[m]) ** 2 for m in setup.eigenbasis]
-    total = sum(weights)
+    total = _left_sum(weights)
     if total < 1e-24:
         raise ValueError("cannot measure a zero-norm state")
     if abs(total - 1.0) > 1e-9:

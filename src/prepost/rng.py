@@ -21,6 +21,7 @@ int (see its docstring) instead of one generator object per draw.
 from __future__ import annotations
 
 import functools
+import itertools
 import struct
 from typing import Iterator
 
@@ -54,16 +55,12 @@ class SplitMix64:
 
     def choice_index(self, weights: list[float]) -> int:
         """Index sampled proportionally to nonnegative weights."""
-        total = sum(weights)
-        if total <= 0.0:
+        # A left fold from 0.0, not the builtin sum: the same bits on every Python.
+        cumulative = list(itertools.accumulate(weights, initial=0.0))
+        if cumulative[-1] <= 0.0:
             raise ValueError("weights must have positive sum")
-        u = self.random() * total
-        acc = 0.0
-        for i, w in enumerate(weights):
-            acc += w
-            if u < acc:
-                return i
-        return len(weights) - 1
+        u = self.random() * cumulative[-1]
+        return next((i for i, acc in enumerate(cumulative[1:]) if u < acc), len(weights) - 1)
 
 
 def derive_stream(master_seed: int, index: int) -> SplitMix64:

@@ -31,6 +31,7 @@ from .hilbert import (
     LinearOp,
     Projector,
     _entries_close,
+    _left_sum,
     compose,
     make_projector,
 )
@@ -186,9 +187,9 @@ def abl_distribution(tsv: TwoStateVector, outcomes: ProjectorSet) -> dict[str, f
                 rows[r] = rows.get(r, 0j) + a * pre[c]
         if not all(map(cmath.isfinite, rows.values())):
             Ket(rows)  # raises as apply would
-        amp = sum((post[r] * s for r, s in rows.items() if r in post and abs(s) >= PRUNE_TOL), 0j)
+        amp = _left_sum((post[r] * s for r, s in rows.items() if r in post and abs(s) >= PRUNE_TOL), 0j)
         weights[label] = abs(amp) ** 2
-    denom = sum(weights.values())
+    denom = _left_sum(weights.values())
     if denom <= DENOMINATOR_TOL:
         raise UndefinedConditionalError(
             "all outcome weights vanish; conditional probabilities undefined"

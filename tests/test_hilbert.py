@@ -3,10 +3,13 @@ from __future__ import annotations
 
 import math
 import random
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import prepost
 from conftest import S, random_balanced_network, random_unitary
 from prepost.hilbert import (
     BasisMismatchError,
@@ -286,6 +289,35 @@ def test_non_finite_amplitudes_rejected():
         Ket({"a": complex(math.nan, 0)})
     with pytest.raises(ValueError, match="non-finite"):
         Bra({"a": complex(0, math.inf)})
+
+
+def test_non_finite_messages_name_the_entry():
+    with pytest.raises(ValueError) as exc:
+        LinearOp(("b",), ("a",), {("a", "b"): complex(math.nan, 0)})
+    assert str(exc.value) == "non-finite amplitude for '(a,b)': (nan+0j)"
+    for cls in (Ket, Bra):
+        with pytest.raises(ValueError) as exc:
+            cls({"b": 1.0, "a": complex(0, math.inf)})
+        assert str(exc.value) == "non-finite amplitude for 'a': infj"
+    op = LinearOp(("u", "v"), ("x",), {("x", "u"): 1, ("x", "v"): 0.5})
+    ket = Ket({"a": 2, "b": -0.25})
+    for stored in (*op.entries.values(), *ket.entries.values()):
+        assert type(stored) is complex
+    assert op.entries == {("x", "u"): 1 + 0j, ("x", "v"): 0.5 + 0j}
+    assert ket.entries == {"a": 2 + 0j, "b": -0.25 + 0j}
+
+
+def test_float_reductions_use_the_left_fold():
+    """``sum`` compensates float rounding from Python 3.12 on, so every float
+    or complex reduction in the package goes through ``hilbert._left_sum``;
+    only integer counts written ``sum(1 for ...)`` may call ``sum``."""
+    offenders = []
+    for path in sorted(Path(prepost.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        for match in re.finditer(r"\bsum\(", text):
+            if not re.match(r"\s*1\s+for\b", text[match.end():]):
+                offenders.append(f"{path.name}:{text.count(chr(10), 0, match.start()) + 1}")
+    assert offenders == []
 
 
 def test_tiny_amplitudes_pruned():

@@ -1,6 +1,7 @@
 """Unit tests for network construction, validation, and evolution."""
 from __future__ import annotations
 
+import copy
 import json
 from collections import Counter
 
@@ -33,10 +34,12 @@ from prepost.network import (
     backward_chain,
     build_network,
     evolve,
+    forward_chain,
     preset_double_mz,
     stage_unitary,
 )
 from prepost.pilot import run_ensemble, run_trajectory
+from prepost.twotime import certainty_report, spin_network
 
 
 @pytest.fixture(scope="module")
@@ -149,21 +152,47 @@ def test_every_stage_unitary_passes_check(net):
         assert check_unitary(stage_unitary(net, k), 1e-12)
 
 
-def test_stage_matrices_match_dense_oracle(net):
+def _seeded_balanced(n_rails):
+    return lambda: random_balanced_network(np.random.default_rng(n_rails), n_rails=n_rails)
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(preset_double_mz, id="preset"),
+    pytest.param(spin_network, id="spin"),
+    *(pytest.param(_seeded_balanced(n), id=f"balanced-{n}") for n in range(3, 17)),
+])
+def test_stage_matrices_match_dense_oracle(make):
+    net = make()
     for k in range(net.n_stages):
         op = stage_unitary(net, k)
         dense = np_stage_matrix(net, k)
         in_basis, out_basis = net.live[k], net.live[k + 1]
+        assert (op.in_basis, op.out_basis) == (in_basis, out_basis)
         for i, row in enumerate(out_basis):
             for j, col in enumerate(in_basis):
                 assert abs(op[(row, col)] - dense[i, j]) <= 1e-15
 
 
 def test_stage_index_range(net):
-    with pytest.raises(ValueError):
-        stage_unitary(net, 6)
-    with pytest.raises(ValueError):
-        stage_unitary(net, -1)
+    for stage in (6, -1, 1.5, "1", 1.0, None):
+        with pytest.raises(OutOfRangeError):
+            stage_unitary(net, stage)
+    # 1.0 hashes like 1: it must fail the same way before and after a traversal.
+    forward_chain(net, basis_ket("a"))
+    with pytest.raises(OutOfRangeError):
+        stage_unitary(net, 1.0)
+
+
+def test_traversals_leave_the_network_unchanged():
+    net = preset_double_mz()
+    before = copy.deepcopy(net)
+    forward_chain(net, basis_ket("a"))
+    backward_chain(net, basis_bra("g"))
+    certainty_report(net, basis_ket("a"), basis_bra("g"))
+    run_ensemble(net, 200, seed=3)
+    assert vars(net) == vars(before)
+    for k in range(net.n_stages):
+        assert stage_unitary(net, k) is stage_unitary(net, k)
 
 
 # ---------------------------------------------------------------------------

@@ -47,3 +47,29 @@ def test_splitmix64_matches_published_outputs():
     assert SplitMix64(0).next_uint64() == 0xE220A8397B1DCDAF
     stream = SplitMix64(1234567)
     assert [stream.next_uint64() for _ in range(2)] == [6457827717110365317, 3203168211198807973]
+
+
+def _choice_by_scan(rng: SplitMix64, weights: list[float]) -> int:
+    total = 0.0
+    for w in weights:
+        total += w
+    if total <= 0.0:
+        raise ValueError("weights must have positive sum")
+    u = rng.random() * total
+    acc = 0.0
+    for i, w in enumerate(weights):
+        acc += w
+        if u < acc:
+            return i
+    return len(weights) - 1
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 64 - 1),
+       st.lists(st.sampled_from([0.0, 1e-300, 0.1, 0.5, 1.0 / 3.0, 1.0, 7.0]), max_size=6))
+def test_choice_index_is_a_scan_over_a_left_fold(seed, weights):
+    if sum(weights) <= 0.0:
+        with pytest.raises(ValueError, match="positive sum"):
+            SplitMix64(seed).choice_index(weights)
+        return
+    assert SplitMix64(seed).choice_index(weights) == _choice_by_scan(SplitMix64(seed), weights)

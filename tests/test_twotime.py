@@ -5,7 +5,6 @@ import cmath
 import hashlib
 import itertools
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -551,10 +550,6 @@ def _near_null_set(tsv: TwoStateVector) -> ProjectorSet:
     return ProjectorSet(tuple(outcomes))
 
 
-# From Python 3.12 on, sum() adds floats with compensation, which can move the
-# last bit of a normalized probability; the digest pins the plain summation.
-@pytest.mark.skipif(sys.version_info >= (3, 12),
-                    reason="digest recorded with the plain float sum() of Python < 3.12")
 def test_certainty_reports_and_distributions_are_golden():
     rng = np.random.default_rng(31)
     digest = hashlib.sha256()
