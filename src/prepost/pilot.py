@@ -2,20 +2,26 @@
 
 A particle is a (mode, quantile) pair: the quantile q in [0, 1) is its
 cumulative-probability position inside the wave packet occupying its mode,
-measured from the leading edge.  Transport is deterministic, cut by cut:
+measured from the leading edge.  Transport is exact: a particle is the
+zero-width cell just above (or, after an order reversal, just below) a
+dyadic rational, held as Python ints ``(num, den, side)`` and started from
+the float q0 as the cell just above it.  Reported quantiles are num/den,
+correctly rounded, so a particle at the trailing edge of its packet (the
+cell just below 1) reads 1.0.  Every rule is one affine map, cut by cut:
 
 * mirror: the packet is reflected, so particle order reverses: q -> 1 - q.
-* beamsplitter, one occupied input (a split): the leading half transmits,
-  the trailing half reflects; q = 1/2 goes with the trailing half.
-  Transmitted: q -> 2q.  Reflected: q -> 2(1 - q) (reflection reverses
-  order; measure-preserving rescaling onto the reflected packet).
+* beamsplitter, one occupied input (a split): a cell below 1/2 (the
+  leading half) transmits, q -> 2q; the trailing half reflects,
+  q -> 2(1 - q) (reflection reverses order; measure-preserving rescaling
+  onto the reflected packet).
 * beamsplitter, two coherent equal-weight occupied inputs interfering into
   a single occupied output (a merge): the reflected input fills the leading
   half with its order reversed, q -> (1 - q)/2; the transmitted input fills
   the trailing half preserving order, q -> (1 + q)/2.
 
-Trajectories never cross: distinct quantiles stay distinct, and a uniform
-quantile ensemble reproduces |amplitude|^2 statistics at the detectors.
+A decreasing map flips the side of the cell.  Trajectories never cross:
+distinct quantiles stay distinct, and a uniform quantile ensemble
+reproduces |amplitude|^2 statistics at the detectors.
 
 Whether reflection at a *beamsplitter* reverses packet order cannot be
 settled by detector statistics; both conventions give the same terminal
@@ -29,25 +35,23 @@ entry cut leaks onto non-source ports, the run is flagged with the
 diagnostic "empty-wave component absent".
 
 Ensembles classify their draws instead of transporting each one.  Every
-rule above is weakly monotone in q, also in IEEE doubles (1 - q, 2q,
-2(1 - q), 2q - 1, (1 +- q)/2, q/2 and the clamp), and the only branch on q
-is q < 1/2; which element a particle meets, and whether a merge routes it,
-depend on its mode alone.  By induction over the stages, the start
-quantiles that share one route (the mode at every cut) form an interval,
-possibly a single point such as q0 = 1/2 on the preset.  So a draw that
-lies between two traced draws with the same route takes that route
-without being transported, and only the other draws are traced.  Draws are
-classified in index order, so the statistics, dict order included, are
-those of transporting every draw; a draw whose route raises is never
-between two completed routes, so it is traced and raises at the same
-sample.  Draws are counted per route, and the counts are expanded into
-detector and path counts in the order the routes were first seen; a
-terminal or path is first seen with the first route that carries it, so
-the order of every count dict is that of the first draw to reach it.
+rule is an affine map of the exact cell, and the only branch on the
+position is whether the cell lies below 1/2; which element a particle
+meets, and whether a merge routes it, depend on its mode alone.  By
+induction over the stages, the start quantiles that share one route (the
+mode at every cut) form a half-open interval.  So a draw that lies between
+two traced draws with the same route takes that route without being
+transported, and only the other draws are traced.  Draws are classified
+in index order, so the statistics, dict order included, are those of
+transporting every draw; a draw whose route raises is never between two
+completed routes, so it is traced and raises at the same sample.  Draws
+are counted per route, and the counts are expanded into detector and path
+counts in the order the routes were first seen; a terminal or path is
+first seen with the first route that carries it, so the order of every
+count dict is that of the first draw to reach it.
 """
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
@@ -77,34 +81,19 @@ class RuleTable:
 
     reverse_on_bs_reflection: bool = True
 
-    def mirror(self, q: float) -> float:
-        return _clamp01(1.0 - q)
-
-    def split(self, q: float) -> tuple[str, float]:
-        if q < 0.5:
-            return "transmit", _clamp01(2.0 * q)
-        if self.reverse_on_bs_reflection:
-            return "reflect", _clamp01(2.0 * (1.0 - q))
-        return "reflect", _clamp01(2.0 * q - 1.0)
-
-    def merge(self, q: float, route: str) -> float:
-        if route == "reflect":
-            if self.reverse_on_bs_reflection:
-                return _clamp01((1.0 - q) / 2.0)
-            return _clamp01(q / 2.0)
-        return _clamp01((1.0 + q) / 2.0)
-
 
 DEFAULT_RULES = RuleTable()
 
-
-def _clamp01(q: float) -> float:
-    # Boundary images (a set of measure zero) fold back into [0, 1).
-    if q >= 1.0:
-        return math.nextafter(1.0, 0.0)
-    if q < 0.0:
-        return 0.0
-    return q
+# An exact position (num, den, side): the zero-width cell just above (side +1)
+# or just below (side -1) the dyadic rational num/den.
+Position = tuple[int, int, int]
+# Each rule is x -> (scale*x + shift) / 2**halve, and a decreasing one flips the
+# side; reflection rules are keyed by ``RuleTable.reverse_on_bs_reflection``.
+_MIRROR = (-1, 1, 0)
+_SPLIT_TRANSMIT = (2, 0, 0)
+_SPLIT_REFLECT = {True: (-2, 2, 0), False: (2, -1, 0)}
+_MERGE_REFLECT = {True: (-1, 1, 1), False: (1, 0, 1)}
+_MERGE_TRANSMIT = (1, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -184,21 +173,20 @@ class TransferContext:
 def element_transfer(
     element: Element,
     mode: str,
-    quantile: float,
+    position: Position,
     context: TransferContext,
-) -> tuple[str, float]:
-    """Transport one particle through one element (see module docstring)."""
-    _check_quantile(quantile)
-    rules = context.rules
+) -> tuple[str, Position]:
+    """Transport one particle, at its exact cell ``position``, through one
+    element (see module docstring): the output mode and the image cell."""
     if element.kind == "mirror":
         ins, outs = _oriented_ports(element, context.direction)
         if mode != ins[0]:
             raise TrajectoryError(f"particle on {mode!r} is not at this mirror")
-        return outs[0], rules.mirror(quantile)
+        return outs[0], _image(position, _MIRROR)
     if element.kind == "detector":
         if mode != element.ins[0]:
             raise TrajectoryError(f"particle on {mode!r} is not at this detector")
-        return mode, quantile
+        return mode, position
 
     (p_in0, p_in1), (p_out0, p_out1) = _oriented_ports(element, context.direction)
     if mode not in (p_in0, p_in1):
@@ -211,6 +199,7 @@ def element_transfer(
     # Transmission keeps the port pairing (in0<->out0, in1<->out1).
     transmit_to = p_out0 if mode == p_in0 else p_out1
     reflect_to = p_out1 if mode == p_in0 else p_out0
+    reverse = context.rules.reverse_on_bs_reflection
 
     if occ0 and occ1:
         scale = max(abs(amp0), abs(amp1))
@@ -226,11 +215,20 @@ def element_transfer(
                 "two occupied inputs do not interfere into a single output"
             )
         target = occupied_outs[0]
-        route = "transmit" if target == transmit_to else "reflect"
-        return target, rules.merge(quantile, route)
+        rule = _MERGE_TRANSMIT if target == transmit_to else _MERGE_REFLECT[reverse]
+        return target, _image(position, rule)
 
-    route, q_new = rules.split(quantile)
-    return (transmit_to, q_new) if route == "transmit" else (reflect_to, q_new)
+    num, den, side = position
+    if (2 * num, side) < (den, 0):  # the cell lies below 1/2
+        return transmit_to, _image(position, _SPLIT_TRANSMIT)
+    return reflect_to, _image(position, _SPLIT_REFLECT[reverse])
+
+
+def _image(position: Position, rule: tuple[int, int, int]) -> Position:
+    """The image of the cell ``position`` under ``rule``."""
+    num, den, side = position
+    scale, shift, halve = rule
+    return scale * num + shift * den, den << halve, side if scale > 0 else -side
 
 
 def _oriented_ports(element: Element, direction: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -240,11 +238,6 @@ def _oriented_ports(element: Element, direction: str) -> tuple[tuple[str, ...], 
     return element.outs, element.ins
 
 
-def _check_quantile(q: float) -> None:
-    if not (isinstance(q, (int, float)) and 0.0 <= q < 1.0):
-        raise OutOfRangeError(f"quantile must lie in [0, 1), got {q!r}")
-
-
 @dataclass(frozen=True)
 class _Plan:
     """Precomputed per-run data shared by every sample of an ensemble."""
@@ -252,7 +245,7 @@ class _Plan:
     direction: str
     cuts: tuple[int, ...]          # cut sequence in traversal order
     contexts: tuple[TransferContext, ...]
-    elements: tuple[tuple[Element, ...], ...]
+    elements: tuple[dict[str, Element], ...]  # per stage, by oriented input port
     start_mode: str
     terminal_names: dict[str, str]
     diagnostics: tuple[str, ...]
@@ -307,7 +300,11 @@ def _build_plan(
             TransferContext(dict(chain[cut].entries), direction=direction, rules=rules)
             for cut in cuts[:-1]
         ),
-        elements=tuple(net.stages[min(a, b)] for a, b in zip(cuts, cuts[1:])),
+        elements=tuple(
+            {port: el for el in net.stages[min(a, b)]
+             for port in _oriented_ports(el, direction)[0]}
+            for a, b in zip(cuts, cuts[1:])
+        ),
         start_mode=start_mode,
         terminal_names=dict(net.detectors) if forward else {},
         diagnostics=diagnostics,
@@ -315,14 +312,13 @@ def _build_plan(
 
 
 def _run(plan: _Plan, q0: float) -> TrajectoryRecord:
-    mode, q = plan.start_mode, q0
-    states = [ParticleState(mode=mode, quantile=q, cut=plan.cuts[0])]
-    for context, stage, cut in zip(plan.contexts, plan.elements, plan.cuts[1:]):
-        for el in stage:
-            if mode in _oriented_ports(el, plan.direction)[0]:
-                mode, q = element_transfer(el, mode, q, context)
-                break
-        states.append(ParticleState(mode=mode, quantile=q, cut=cut))
+    mode, position = plan.start_mode, (*q0.as_integer_ratio(), 1)
+    states = [ParticleState(mode=mode, quantile=q0, cut=plan.cuts[0])]
+    for context, elements, cut in zip(plan.contexts, plan.elements, plan.cuts[1:]):
+        el = elements.get(mode)
+        if el is not None:
+            mode, position = element_transfer(el, mode, position, context)
+        states.append(ParticleState(mode=mode, quantile=position[0] / position[1], cut=cut))
     terminal = plan.terminal_names.get(mode, mode)
     return TrajectoryRecord(
         direction=plan.direction,
@@ -394,7 +390,8 @@ def run_trajectory(
     empty-wave branches.  ``start_mode`` selects the particle's port when
     the terminal state occupies several.
     """
-    _check_quantile(q0)
+    if not (isinstance(q0, (int, float)) and 0.0 <= q0 < 1.0):
+        raise OutOfRangeError(f"quantile must lie in [0, 1), got {q0!r}")
     plan = _build_plan(net, direction, _terminal_or_default(net, direction, terminal_state),
                        start_mode, rules)
     return _run(plan, q0)

@@ -342,7 +342,7 @@ def test_criterion_9d_quantile_map_injective_and_measure_preserving():
                 ordered = sorted(places)
                 for lo, hi in zip(ordered, ordered[1:]):
                     assert hi - lo > 1e-12
-    # Measure preservation, analytically: G collects exactly [0, 1/2] and the
+    # Measure preservation, analytically: G collects exactly [0, 1/2) and the
     # final quantile maps have slope magnitude 2, so the uniform measure
     # pushes forward to the Born weight 1/2 per detector.
     for q in [1e-6, 0.1, 0.25, 0.4999]:

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import math
+import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,18 +11,36 @@ import pytest
 from prepost.hilbert import adjoint, basis_bra, basis_ket
 from prepost.network import Element, build_network, forward_chain, preset_double_mz
 from prepost.pilot import (
+    DEFAULT_RULES,
     EMPTY_WAVE_DIAGNOSTIC,
     RuleTable,
     TrajectoryError,
     TransferContext,
     UnsupportedMergeError,
+    _build_plan,
+    _classify,
+    _run,
     element_transfer,
     run_ensemble,
     run_trajectory,
 )
+from test_pilot_classify import CHAINS, adversarial_quantiles
 
 S = 1.0 / math.sqrt(2.0)
 PRESERVE_RULES = RuleTable(reverse_on_bs_reflection=False)
+
+
+def cell(q: float) -> tuple[int, int, int]:
+    """The exact position of the particle at start quantile ``q``: the cell
+    just above it."""
+    return (*q.as_integer_ratio(), 1)
+
+
+def transfer(element, mode, q, context) -> tuple[str, float]:
+    """``element_transfer`` from the cell just above ``q``, read back as
+    ``(mode, quantile)``."""
+    out, (num, den, _) = element_transfer(element, mode, cell(q), context)
+    return out, num / den
 
 
 @pytest.fixture(scope="module")
@@ -60,34 +80,36 @@ def single_mz_network():
 def test_mirror_reverses_order():
     mirror = Element("mirror", ("c",), ("c",))
     ctx = TransferContext({"c": 1.0})
-    assert element_transfer(mirror, "c", 0.3, ctx) == ("c", 0.7)
+    assert transfer(mirror, "c", 0.3, ctx) == ("c", 0.7)
 
 
 def test_split_leading_half_transmits():
     bs = Element("beamsplitter", ("u", "v"), ("x", "y"))
     ctx = TransferContext({"u": 1.0})
-    assert element_transfer(bs, "u", 0.25, ctx) == ("x", 0.5)
+    assert transfer(bs, "u", 0.25, ctx) == ("x", 0.5)
 
 
 def test_split_trailing_half_reflects_with_reversal():
     bs = Element("beamsplitter", ("u", "v"), ("x", "y"))
     ctx = TransferContext({"u": 1.0})
-    assert element_transfer(bs, "u", 0.75, ctx) == ("y", 0.5)
+    assert transfer(bs, "u", 0.75, ctx) == ("y", 0.5)
 
 
 def test_split_midpoint_joins_trailing_half():
     bs = Element("beamsplitter", ("u", "v"), ("x", "y"))
     ctx = TransferContext({"u": 1.0})
-    mode, q = element_transfer(bs, "u", 0.5, ctx)
-    assert mode == "y"
-    assert 0.0 <= q < 1.0  # the boundary image folds into range
+    mode, (num, den, side) = element_transfer(bs, "u", cell(0.5), ctx)
+    # The cell just above 1/2 reflects, with order reversal, to the cell
+    # just below 1: the trailing edge of the packet on y, which reads 1.0.
+    assert (mode, num, side) == ("y", den, -1)
+    assert num / den == 1.0
 
 
 def test_split_from_second_port():
     bs = Element("beamsplitter", ("u", "v"), ("x", "y"))
     ctx = TransferContext({"v": 1.0})
-    assert element_transfer(bs, "v", 0.25, ctx) == ("y", 0.5)  # v transmits to y
-    assert element_transfer(bs, "v", 0.75, ctx) == ("x", 0.5)
+    assert transfer(bs, "v", 0.25, ctx) == ("y", 0.5)  # v transmits to y
+    assert transfer(bs, "v", 0.75, ctx) == ("x", 0.5)
 
 
 @pytest.mark.parametrize("direction", ["forward", "reversed"])
@@ -103,13 +125,13 @@ def test_particle_on_an_empty_input_port_is_rejected(direction, mode, amplitudes
 def test_merge_reflected_input_fills_leading_half():
     bs = Element("beamsplitter", ("d", "c"), ("e", "f"))
     ctx = TransferContext({"c": S, "d": 1j * S})
-    assert element_transfer(bs, "c", 0.4, ctx) == ("e", 0.3)
+    assert transfer(bs, "c", 0.4, ctx) == ("e", 0.3)
 
 
 def test_merge_transmitted_input_fills_trailing_half():
     bs = Element("beamsplitter", ("d", "c"), ("e", "f"))
     ctx = TransferContext({"c": S, "d": 1j * S})
-    assert element_transfer(bs, "d", 0.4, ctx) == ("e", 0.7)
+    assert transfer(bs, "d", 0.4, ctx) == ("e", 0.7)
 
 
 def test_merge_rejects_unequal_weights():
@@ -135,10 +157,10 @@ def test_transfer_requires_matching_port():
         element_transfer(bs, "v", 0.3, TransferContext({"u": 1.0}))
 
 
-def test_quantile_range_validated():
-    mirror = Element("mirror", ("c",), ("c",))
-    with pytest.raises(ValueError, match="quantile"):
-        element_transfer(mirror, "c", 1.0, TransferContext({"c": 1.0}))
+def test_quantile_range_validated(net):
+    for q in (1.0, -1e-300, math.nan, "0.5"):
+        with pytest.raises(ValueError, match="quantile"):
+            run_trajectory(net, q)
 
 
 # ---------------------------------------------------------------------------
@@ -165,9 +187,27 @@ def test_forward_default_entry_state(net):
     assert rec.path == ("a", "c", "e")
 
 
+def test_every_G_particle_passes_through_c(net):
+    # Every start quantile k/2^20, through the route classification (which
+    # test_classification_at_branch_boundaries pins to _run); shuffled, since
+    # in ascending order every quantile would be traced.  G collects exactly
+    # the leading half.
+    quantiles = [k / 2 ** 20 for k in range(2 ** 20)]
+    random.Random(20).shuffle(quantiles)
+    plan = _build_plan(net, "forward", basis_ket("a"), None, DEFAULT_RULES)
+    counts = Counter(_classify(plan, quantiles))
+    assert {(r.terminal, r.path): n for r, n in counts.items()} == {
+        ("G", ("a", "c", "e")): 2 ** 19, ("H", ("a", "d", "e")): 2 ** 19}
+    # And one trajectory at a time at every k/2^m for m <= 10.
+    expected = {"G": ("a", "c", "e"), "H": ("a", "d", "e")}
+    for k in range(2 ** 10):
+        rec = run_trajectory(net, k / 2 ** 10)
+        assert rec.path == expected[rec.terminal], k
+
+
 def test_forward_detector_split_at_half(net):
     assert run_trajectory(net, 0.49999, "forward").terminal == "G"
-    assert run_trajectory(net, 0.5, "forward").terminal == "G"
+    assert run_trajectory(net, 0.5, "forward").terminal == "H"
     assert run_trajectory(net, 0.50001, "forward").terminal == "H"
 
 
@@ -188,10 +228,8 @@ def test_reversed_truncated_other_half_misses_the_source(net):
 
 
 def test_reversed_truncated_source_arrivals_always_via_f(net):
-    # Quantile grid offset from the packet midpoint (a measure-zero boundary
-    # whose image the transport rules do not pin down).
-    for k in range(100):
-        q = k / 100 + 1 / 200
+    for k in range(200):
+        q = k / 200
         rec = run_trajectory(net, q, "reversed", basis_bra("g"))
         assert rec.path != ("g", "e", "c")
         if rec.terminal == "a":
@@ -281,7 +319,7 @@ def test_non_crossing_forward(net):
 
 
 def test_detector_measure_matches_born_weights(net):
-    # Piecewise-linear composite map: [0, 1/2] -> G, (1/2, 1) -> H, slope 2.
+    # Piecewise-linear composite map: [0, 1/2) -> G, [1/2, 1) -> H, slope 2.
     for q in [0.01, 0.1, 0.3, 0.49]:
         rec = run_trajectory(net, q, "forward", basis_ket("a"))
         assert rec.terminal == "G"
@@ -336,6 +374,15 @@ def test_detector_assignment_invariant_under_reflection_convention(net):
         alt = run_trajectory(net, float(q), "forward", basis_ket("a"), rules=PRESERVE_RULES)
         assert default.terminal == alt.terminal
         assert default.path == alt.path
+    # Every quantile where a rule switches branch, on the preset and on every
+    # cascade of at most 10 stages.
+    chains = {name: chain for name, chain, _ in CHAINS if chain.n_stages <= 10}
+    for name, chain in chains.items():
+        plans = [_build_plan(chain, "forward", basis_ket(chain.sources[0]), None, rules)
+                 for rules in (DEFAULT_RULES, PRESERVE_RULES)]
+        for q in adversarial_quantiles(chain.n_stages):
+            default, alt = (_run(plan, q) for plan in plans)
+            assert (default.terminal, default.path) == (alt.terminal, alt.path), (name, q)
 
 
 def test_intra_packet_quantiles_do_change_with_convention(net):

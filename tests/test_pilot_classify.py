@@ -9,8 +9,11 @@ exactly, down to dict order and to the exception a failing draw raises.
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import math
 import random
+from bisect import bisect_right
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +40,12 @@ from prepost.pilot import (
     run_ensemble,
 )
 from prepost.rng import _BLOCK as BLOCK, derive_stream
+
+# The benchmark's independent stdlib reference, loaded from its file.
+_ORACLE_SPEC = importlib.util.spec_from_file_location(
+    "perfbench_oracle", Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py")
+oracle = importlib.util.module_from_spec(_ORACLE_SPEC)
+_ORACLE_SPEC.loader.exec_module(oracle)
 
 RULES = (DEFAULT_RULES, RuleTable(reverse_on_bs_reflection=False))
 SEEDS = range(10)
@@ -195,9 +204,10 @@ def test_large_preset_ensemble_equals_per_draw_transport():
 
 
 def adversarial_quantiles(n_stages: int) -> list[float]:
-    """Quantiles where a rule switches branch or clamps: 0, the dyadic
-    rationals k/2^m for m <= n_stages (1/2 among them), their neighbours,
-    and the largest double below 1."""
+    """Quantiles where a route can change: 0, the dyadic rationals k/2^m
+    for m <= n_stages (1/2 among them), where a cell meets a rule's
+    boundary at 1/2 or an edge of its packet, their neighbours, and the
+    largest double below 1."""
     points = {0.0, 1.0 - 2.0 ** -53}
     denominator = 2 ** n_stages
     for k in range(1, denominator):
@@ -236,3 +246,39 @@ def test_classification_at_branch_boundaries(name, net, rules):
             assert route.modes == tuple(s.mode for s in rec.states), q
             assert (route.terminal, route.path) == (rec.terminal, rec.path), q
 
+
+def description(net: Network) -> dict:
+    """The network description ``build_network`` built ``net`` from (its
+    detector stage is implied by ``detectors``)."""
+    stages = net.stages[:-1] if net.detectors else net.stages
+    return {
+        "modes": list(net.modes),
+        "sources": list(net.sources),
+        "detectors": dict(net.detectors),
+        "stages": [{"elements": [
+            {"type": "beamsplitter", "in": list(el.ins), "out": list(el.outs)}
+            if el.kind == "beamsplitter" else {"type": el.kind, "in": el.ins[0], "out": el.outs[0]}
+            for el in stage]} for stage in stages],
+    }
+
+
+@pytest.mark.parametrize("name,net,rules", [c for c, _ in BOUNDARY_CHAINS],
+                         ids=[i for _, i in BOUNDARY_CHAINS])
+def test_routes_equal_the_oracle_partition(name, net, rules):
+    # The oracle pushes the whole unit interval through the network and
+    # returns its half-open (terminal, path) pieces; the route of every
+    # start quantile where a rule switches branch is that of its piece.
+    reference = oracle.Network(description(net))
+    for direction, terminal, start_mode in cases(net, all_ports=True):
+        if terminal is None:
+            terminal = basis_ket(net.sources[0])
+        plan = _build_plan(net, direction, terminal, start_mode, rules)
+        pieces = reference.pieces(direction, terminal.entries, plan.start_mode,
+                                  rules.reverse_on_bs_reflection)
+        los = [lo for lo, *_ in pieces]
+        for q in adversarial_quantiles(net.n_stages):
+            lo, hi, piece_terminal, piece_path = pieces[bisect_right(los, q) - 1]
+            assert lo <= q < hi
+            rec = _run(plan, q)
+            assert (rec.terminal, rec.path) == (piece_terminal, piece_path), (
+                direction, start_mode, q)
