@@ -34,27 +34,25 @@ every branch of the final wave, empty or not; if the wave it induces at the
 entry cut leaks onto non-source ports, the run is flagged with the
 diagnostic "empty-wave component absent".
 
-Ensembles classify their draws instead of transporting each one.  Every
-rule is an affine map of the exact cell, and the only branch on the
-position is whether the cell lies below 1/2; which element a particle
-meets, and whether a merge routes it, depend on its mode alone.  By
-induction over the stages, the start quantiles that share one route (the
-mode at every cut) form a half-open interval.  So a draw that lies between
-two traced draws with the same route takes that route without being
-transported, and only the other draws are traced.  Draws are classified
-in index order, so the statistics, dict order included, are those of
-transporting every draw; a draw whose route raises is never between two
-completed routes, so it is traced and raises at the same sample.  Draws
-are counted per route, and the counts are expanded into detector and path
-counts in the order the routes were first seen; a terminal or path is
-first seen with the first route that carries it, so the order of every
-count dict is that of the first draw to reach it.
+Ensembles count their draws instead of transporting each one.  Every rule
+is an affine map of the exact cell, the only branch on the position is
+whether the cell lies below 1/2, and which element a particle meets, and
+whether a merge routes it, depend on its mode alone.  So the draws k / 2^53
+that share a route form a half-open interval of numerators k, and pushing
+all of [0, 2^53) through the stages as integer affine maps of k yields the
+exact partition by route.  Draws are counted per piece in index order, and
+the counts are expanded in the order the pieces were first reached, so
+every count dict is ordered by the first draw to reach each key, as when
+every draw is transported.  A piece whose route raises keeps the error,
+which is raised only if a draw lands in the piece.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from itertools import chain, groupby, repeat
+from typing import Iterable, Union
 
 from .hilbert import Bra, Ket
 from .network import (BS_REFLECT, BS_TRANSMIT, Element, Network, OutOfRangeError,
@@ -87,8 +85,11 @@ DEFAULT_RULES = RuleTable()
 # An exact position (num, den, side): the zero-width cell just above (side +1)
 # or just below (side -1) the dyadic rational num/den.
 Position = tuple[int, int, int]
-# Each rule is x -> (scale*x + shift) / 2**halve, and a decreasing one flips the
-# side; reflection rules are keyed by ``RuleTable.reverse_on_bs_reflection``.
+# Each rule (scale, shift, halve) is x -> (scale*x + shift) / 2**halve, and a
+# decreasing one flips the side; reflection rules are keyed by
+# ``RuleTable.reverse_on_bs_reflection``.
+Rule = tuple[int, int, int]
+_IDENTITY = (1, 0, 0)
 _MIRROR = (-1, 1, 0)
 _SPLIT_TRANSMIT = (2, 0, 0)
 _SPLIT_REFLECT = {True: (-2, 2, 0), False: (2, -1, 0)}
@@ -117,11 +118,7 @@ class TrajectoryRecord:
     def path(self) -> tuple[str, ...]:
         """Mode sequence with consecutive repeats removed and the terminal
         arm dropped (it is reported via ``terminal``)."""
-        modes: list[str] = []
-        for s in self.states:
-            if not modes or modes[-1] != s.mode:
-                modes.append(s.mode)
-        return tuple(modes[:-1]) if len(modes) > 1 else tuple(modes)
+        return _path(s.mode for s in self.states)
 
     def to_json(self) -> dict:
         return {
@@ -132,6 +129,12 @@ class TrajectoryRecord:
             "quantile0": self.quantile0,
             "quantiles": [s.quantile for s in self.states],
         }
+
+
+def _path(modes: Iterable[str]) -> tuple[str, ...]:
+    """``TrajectoryRecord.path`` of a mode sequence."""
+    collapsed = [mode for mode, _ in groupby(modes)]
+    return tuple(collapsed[:-1]) if len(collapsed) > 1 else tuple(collapsed)
 
 
 @dataclass(frozen=True)
@@ -178,15 +181,26 @@ def element_transfer(
 ) -> tuple[str, Position]:
     """Transport one particle, at its exact cell ``position``, through one
     element (see module docstring): the output mode and the image cell."""
+    branches = _branches(element, mode, context)
+    num, den, side = position
+    # A split sends a cell below 1/2 down its first branch, any other down its second.
+    out, rule = branches[len(branches) == 2 and (2 * num, side) >= (den, 0)]
+    return out, _image(position, rule)
+
+
+def _branches(element: Element, mode: str, context: TransferContext) -> tuple[tuple[str, Rule], ...]:
+    """Where ``element`` sends a particle on ``mode``: one ``(out_mode, rule)``
+    branch, or a split's transmitted and reflected branches.  Which applies
+    depends on the mode alone, and so does every error."""
     if element.kind == "mirror":
         ins, outs = _oriented_ports(element, context.direction)
         if mode != ins[0]:
             raise TrajectoryError(f"particle on {mode!r} is not at this mirror")
-        return outs[0], _image(position, _MIRROR)
+        return ((outs[0], _MIRROR),)
     if element.kind == "detector":
         if mode != element.ins[0]:
             raise TrajectoryError(f"particle on {mode!r} is not at this detector")
-        return mode, position
+        return ((mode, _IDENTITY),)
 
     (p_in0, p_in1), (p_out0, p_out1) = _oriented_ports(element, context.direction)
     if mode not in (p_in0, p_in1):
@@ -215,16 +229,11 @@ def element_transfer(
                 "two occupied inputs do not interfere into a single output"
             )
         target = occupied_outs[0]
-        rule = _MERGE_TRANSMIT if target == transmit_to else _MERGE_REFLECT[reverse]
-        return target, _image(position, rule)
-
-    num, den, side = position
-    if (2 * num, side) < (den, 0):  # the cell lies below 1/2
-        return transmit_to, _image(position, _SPLIT_TRANSMIT)
-    return reflect_to, _image(position, _SPLIT_REFLECT[reverse])
+        return ((target, _MERGE_TRANSMIT if target == transmit_to else _MERGE_REFLECT[reverse]),)
+    return (transmit_to, _SPLIT_TRANSMIT), (reflect_to, _SPLIT_REFLECT[reverse])
 
 
-def _image(position: Position, rule: tuple[int, int, int]) -> Position:
+def _image(position: Position, rule: Rule) -> Position:
     """The image of the cell ``position`` under ``rule``."""
     num, den, side = position
     scale, shift, halve = rule
@@ -329,37 +338,40 @@ def _run(plan: _Plan, q0: float) -> TrajectoryRecord:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class _Route:
-    """One route through a plan: the mode at every cut.  Routes are shared
-    per plan, so identity is equality."""
-
-    modes: tuple[str, ...]
-    terminal: str
-    path: tuple[str, ...]
-
-
-def _classify(plan: _Plan, quantiles: Iterable[float]) -> Iterator[_Route]:
-    """The route of each start quantile, in order (see module docstring).
-
-    A quantile between two traced ones with the same route takes that
-    route; any other quantile is traced with ``_run`` and joins the sorted
-    list of traced quantiles.
+def _partition(plan: _Plan) -> tuple[tuple[int, ...], tuple]:
+    """The exact partition of the draw numerators ``[0, 2**53)`` by route:
+    the start edges of the pieces after the first, and per piece its
+    ``(terminal, path)`` or the error its route raises; draw ``k`` lies in
+    piece ``bisect_right(edges, k)``.  A piece carries its cell as the
+    integer affine map ``(a*k + b) / d`` of ``k``, on the side of sign(a).
     """
-    known: dict[tuple[str, ...], _Route] = {}
-    traced: list[float] = []
-    routes: list[_Route] = []
-    for q in quantiles:
-        k = bisect_right(traced, q)
-        if 0 < k < len(traced) and routes[k - 1] is routes[k]:
-            yield routes[k]
-        else:
-            rec = _run(plan, q)
-            modes = tuple(s.mode for s in rec.states)
-            route = known.setdefault(modes, _Route(modes, rec.terminal, rec.path))
-            traced.insert(k, q)
-            routes.insert(k, route)
-            yield route
+    live = [(0, 1 << 53, 1, 0, 1 << 53, plan.start_mode, (plan.start_mode,))]
+    pieces = []
+    for context, elements in zip(plan.contexts, plan.elements):
+        moved = []
+        for lo, hi, a, b, d, mode, modes in live:
+            element = elements.get(mode)
+            try:
+                branches = (((mode, _IDENTITY),) if element is None
+                            else _branches(element, mode, context))
+            except (UnsupportedMergeError, TrajectoryError) as exc:
+                pieces.append((lo, exc))
+                continue
+            spans = [(lo, hi)]
+            if len(branches) == 2:
+                # The cell lies below 1/2 iff k < x (a > 0) or k >= x (a < 0).
+                x = -((2 * b - d) // (2 * a))
+                below, above = (lo, min(hi, x)), (max(lo, x), hi)
+                spans = [below, above] if a > 0 else [above, below]
+            for (start, end), (out, (scale, shift, halve)) in zip(spans, branches):
+                if start < end:
+                    moved.append((start, end, scale * a, scale * b + shift * d, d << halve,
+                                  out, (*modes, out)))
+        live = moved
+    pieces += [(lo, (plan.terminal_names.get(mode, mode), _path(modes)))
+               for lo, *_, mode, modes in live]
+    los, outcomes = zip(*sorted(pieces, key=lambda piece: piece[0]))
+    return los[1:], outcomes
 
 
 def _terminal_or_default(
@@ -409,26 +421,27 @@ def run_ensemble(
     """Run many trajectories with quantiles drawn uniformly from derived
     per-sample streams, and aggregate terminal and path statistics.
 
-    Draw ``i`` is ``derive_stream(seed, i).random()``, computed in blocks by
-    ``substream_draws``.  Draws are classified by route (see module
-    docstring) and counted per route; the route counts are then expanded
-    into detector and path counts in the order the routes were first seen,
-    so the result, dict order included, equals transporting every draw with
-    ``_run``.
+    Draw ``i`` is ``derive_stream(seed, i).random()``, whose numerators
+    ``substream_draws`` computes in blocks.  The draws are counted per piece
+    of the route partition (see module docstring), so the result, dict order
+    and exceptions included, equals transporting every draw with ``_run``.
     """
     if samples < 1:
         raise OutOfRangeError("samples must be >= 1")
     plan = _build_plan(net, direction, _terminal_or_default(net, direction, terminal_state),
                        start_mode, rules)
-    counts: dict[_Route, int] = {}
-    for route in _classify(plan, substream_draws(seed, samples)):
-        counts[route] = counts.get(route, 0) + 1
+    edges, outcomes = _partition(plan)
+    draws = chain.from_iterable(substream_draws(seed, samples))
     detector_counts: dict[str, int] = {}
     conditional: dict[str, dict[tuple[str, ...], int]] = {}
-    for route, n in counts.items():
-        detector_counts[route.terminal] = detector_counts.get(route.terminal, 0) + n
-        paths = conditional.setdefault(route.terminal, {})
-        paths[route.path] = paths.get(route.path, 0) + n
+    for piece, n in Counter(map(bisect_right, repeat(edges), draws)).items():
+        outcome = outcomes[piece]
+        if isinstance(outcome, ValueError):
+            raise outcome
+        terminal, path = outcome
+        detector_counts[terminal] = detector_counts.get(terminal, 0) + n
+        paths = conditional.setdefault(terminal, {})
+        paths[path] = paths.get(path, 0) + n
     return EnsembleStats(
         samples=samples,
         seed=seed,

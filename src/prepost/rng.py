@@ -14,15 +14,17 @@ pairs always yield identical streams, so ensembles are reproducible and can
 be partitioned across workers.  That scheme is the definition of every draw.
 
 ``substream_draws(master, count)`` is an exact fast path for ensembles: it
-yields ``derive_stream(master, i).random()`` for every ``i < count``, bit for
-bit, but computes a block of draws at once with a lane kernel on one Python
-int (see its docstring) instead of one generator object per draw.
+yields the numerators k of the draws ``derive_stream(master, i).random() ==
+k / 2**53`` for every ``i < count``, a block at a time, computed with a lane
+kernel on one Python int (see its docstring), not one generator per draw.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import struct
+import sys
+from array import array
 from typing import Iterator
 
 _MASK = (1 << 64) - 1
@@ -70,12 +72,15 @@ def derive_stream(master_seed: int, index: int) -> SplitMix64:
     return SplitMix64(mix64((master_seed & _MASK) ^ mix64(((index + 1) * GAMMA) & _MASK)))
 
 
-@functools.lru_cache(maxsize=2)
-def _layout(n: int) -> tuple[struct.Struct, int, int]:
-    """Packer of ``n`` lanes (little-endian, one per 128-bit slot), the
-    broadcast constant ``ones`` (1 in every slot) and the 64-bit lane mask."""
-    ones = int.from_bytes(b"\x01".ljust(_SLOT, b"\0") * n, "little")
-    return struct.Struct("<" + "Q8x" * n), ones, ones * _MASK
+@functools.cache
+def _lane_constants() -> tuple[int, int, int]:
+    """A full block's ``ones``, 1 in the slot of every lane; its ramp, j in the
+    slot of lane j; and its 64-bit lane mask.  A block of n lanes masks them
+    to its low 128n bits, so they do not depend on the block size.  Built on
+    first use, so a process that draws no ensemble does not hold them."""
+    ones = int.from_bytes(b"\x01".ljust(_SLOT, b"\0") * _BLOCK, "little")
+    ramp = int.from_bytes(struct.pack("<" + "Q8x" * _BLOCK, *range(_BLOCK)), "little")
+    return ones, ramp, ones * _MASK
 
 
 def _mix_lanes(z: int, mask: int) -> int:
@@ -85,30 +90,36 @@ def _mix_lanes(z: int, mask: int) -> int:
     return (z ^ (z >> 31)) & mask
 
 
-def substream_draws(master_seed: int, count: int) -> Iterator[float]:
-    """``derive_stream(master_seed, i).random()`` for ``i`` in ``range(count)``.
+def substream_draws(master_seed: int, count: int) -> Iterator[array]:
+    """The numerators ``k`` of the draws ``derive_stream(master_seed, i).random()
+    == k / 2**53`` for ``i`` in ``range(count)``, one array per block.
 
     Each block of up to ``_BLOCK`` draws runs as a lane kernel on one Python
-    int: draw ``k`` of the block is a 64-bit lane in bits ``[128k, 128k + 64)``.
-    The lanes start as ``(start + 1 + k) * GAMMA``, masked, and pass through
+    int: draw ``j`` of the block is a 64-bit lane in bits ``[128j, 128j + 64)``.
+    The lanes start as ``(start + 1 + j) * GAMMA``, masked, and pass through
     the three ``mix64`` rounds of ``derive_stream`` and ``random`` as a few
     big-int operations over the whole block; ``ones * c`` puts ``c`` in every
-    lane.
+    lane.  A right shift by 11 leaves each draw's 53-bit numerator in the low
+    64 bits of its slot, which are read out as every other 64-bit word.
 
     Lanes never mix.  A lane masked to 64 bits times a 64-bit constant stays
     below 2^128, and a lane plus ``GAMMA`` stays below 2^65, so neither
     carries into the next slot.  A right shift by at most 64 moves a lane's
     low bits only into the top half of the slot below, which was zero, and
-    the next mask clears them before any multiplication or addition.  So
-    every lane computes exactly the 64-bit arithmetic of ``mix64``.
+    which the next mask clears before any product or sum, or the read-out
+    skips.  So every lane computes exactly the 64-bit arithmetic of ``mix64``.
     """
     seed = master_seed & _MASK
+    block_ones, block_ramp, block_mask = _lane_constants()
     for start in range(0, count, _BLOCK):
         n = min(_BLOCK, count - start)
-        lanes, ones, mask = _layout(n)
-        z = int.from_bytes(lanes.pack(*range(start + 1, start + n + 1)), "little")
+        low = (1 << (128 * n)) - 1
+        ones, mask = block_ones & low, block_mask & low
+        z = (start + 1) * ones + (block_ramp & low)
         z = _mix_lanes((z * GAMMA) & mask, mask)
         z = _mix_lanes(z ^ (ones * seed), mask)
         z = _mix_lanes((z + ones * GAMMA) & mask, mask)
-        for v in lanes.unpack(z.to_bytes(_SLOT * n, "little")):
-            yield (v >> 11) * 2.0 ** -53
+        words = array("Q", (z >> 11).to_bytes(_SLOT * n, "little"))
+        if sys.byteorder == "big":
+            words.byteswap()
+        yield words[::2]

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-import random
+from bisect import bisect_right
 from collections import Counter
 
 import numpy as np
@@ -18,7 +18,7 @@ from prepost.pilot import (
     TransferContext,
     UnsupportedMergeError,
     _build_plan,
-    _classify,
+    _partition,
     _run,
     element_transfer,
     run_ensemble,
@@ -188,16 +188,14 @@ def test_forward_default_entry_state(net):
 
 
 def test_every_G_particle_passes_through_c(net):
-    # Every start quantile k/2^20, through the route classification (which
-    # test_classification_at_branch_boundaries pins to _run); shuffled, since
-    # in ascending order every quantile would be traced.  G collects exactly
-    # the leading half.
-    quantiles = [k / 2 ** 20 for k in range(2 ** 20)]
-    random.Random(20).shuffle(quantiles)
+    # Every start quantile k/2^20, counted against the route partition (which
+    # test_classification_at_branch_boundaries pins to _run).  G collects
+    # exactly the leading half, and so it does of all 2^53 draws.
     plan = _build_plan(net, "forward", basis_ket("a"), None, DEFAULT_RULES)
-    counts = Counter(_classify(plan, quantiles))
-    assert {(r.terminal, r.path): n for r, n in counts.items()} == {
-        ("G", ("a", "c", "e")): 2 ** 19, ("H", ("a", "d", "e")): 2 ** 19}
+    edges, outcomes = _partition(plan)
+    counts = Counter(outcomes[bisect_right(edges, k << 33)] for k in range(2 ** 20))
+    assert counts == {("G", ("a", "c", "e")): 2 ** 19, ("H", ("a", "d", "e")): 2 ** 19}
+    assert edges == (2 ** 52,)
     # And one trajectory at a time at every k/2^m for m <= 10.
     expected = {"G": ("a", "c", "e"), "H": ("a", "d", "e")}
     for k in range(2 ** 10):

@@ -1,7 +1,7 @@
-"""Ensembles classified by route against ensembles transported draw by draw.
+"""Ensembles counted against the route partition, and transported draw by draw.
 
-``run_ensemble`` transports only the draws that no two traced draws with the
-same route bracket (see the ``prepost.pilot`` module docstring).
+``run_ensemble`` counts its draws against the exact partition of the start
+quantiles by route (see the ``prepost.pilot`` module docstring).
 ``reference_ensemble`` keeps the loop it replaced, which transports every
 draw ``derive_stream(seed, i).random()`` with ``_run``; the two must agree
 exactly, down to dict order and to the exception a failing draw raises.
@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import hashlib
 import importlib.util
+import json
 import math
 import random
+import tracemalloc
 from bisect import bisect_right
 from pathlib import Path
 
@@ -35,7 +37,7 @@ from prepost.pilot import (
     TrajectoryError,
     UnsupportedMergeError,
     _build_plan,
-    _classify,
+    _partition,
     _run,
     run_ensemble,
 )
@@ -198,6 +200,44 @@ def test_bohm_ensemble_output_is_golden(argv, digest, capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+# sha256 of stdout and stderr of ``bohm --network`` ensembles on two seeded
+# cascades, recorded while draws were still classified one by one: one
+# reversed from a one-port functional (the empty-wave diagnostic) with
+# ``--start-mode``, one forward under the order-preserving rule.
+GOLDEN_CASCADES = {
+    "reversed": (7, ["--samples", "9000", "--seed", "5", "--direction", "reversed"]),
+    "preserve": (5, ["--samples", "12000", "--seed", "2", "--reflection-rule", "preserve"]),
+}
+GOLDEN_NETWORK_BOHM = [
+    ("reversed", "text",
+     "7abf94607be32c2786f2e25613b88ba4c76b028786f85725bc512bf95cc67f2e"),
+    ("reversed", "json",
+     "b12290ef2c6514fd9438eec96901539126fe3bb76bea2e8a978a78e401f3f1bb"),
+    ("preserve", "text",
+     "4ce492334a26d366b8333489ce19b0ebf089ccd93db7dbec0916d4e038c98809"),
+    ("preserve", "json",
+     "c112ccf63c367869c9b78420427c2ec4ebce37fba8f20d7087b8e5db41b1ddf1"),
+]
+
+
+@pytest.mark.parametrize("name,fmt,digest", GOLDEN_NETWORK_BOHM,
+                         ids=[f"{name}-{fmt}" for name, fmt, _ in GOLDEN_NETWORK_BOHM])
+def test_bohm_network_ensemble_output_is_golden(name, fmt, digest, tmp_path, capsys):
+    splitters, argv = GOLDEN_CASCADES[name]
+    net = mz_cascade(random.Random(f"golden-{name}"), splitters)
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(description(net)), encoding="utf-8")
+    if name == "reversed":
+        port = cases(net, all_ports=False)[-1][1].support[0]
+        argv = [*argv, "--post", f"{port}:1,0", "--start-mode", port]
+    assert main(["bohm", "--network", str(path), *argv, "--format", fmt]) == 0
+    captured = capsys.readouterr()
+    if name == "reversed":
+        assert "empty-wave component absent" in captured.out + captured.err
+    text = captured.out + "\0" + captured.err
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
 def test_large_preset_ensemble_equals_per_draw_transport():
     net = preset_double_mz()
     assert repr(run_ensemble(net, 100_000, 3)) == repr(reference_ensemble(net, 100_000, 3))
@@ -228,23 +268,39 @@ BOUNDARY_CHAINS.append((
 ))
 
 
+def adversarial_draws(n_stages: int) -> list[int]:
+    """Draw numerators (the draw is k / 2^53) where a route can change: the
+    multiples K of 2^(53 - n_stages), where a cell meets a rule's boundary
+    at 1/2 or an edge of its packet, their neighbours K - 1 and K + 1, and
+    the largest numerator."""
+    step = 2 ** (53 - n_stages)
+    points = {k * step + d for k in range(2 ** n_stages) for d in (-1, 0, 1)}
+    return sorted((points - {-1}) | {2 ** 53 - 1})
+
+
 @pytest.mark.parametrize("name,net,rules", [c for c, _ in BOUNDARY_CHAINS],
                          ids=[i for _, i in BOUNDARY_CHAINS])
 def test_classification_at_branch_boundaries(name, net, rules):
+    # The partition gives every adversarial draw, and two seeded draws per
+    # adversarial one, the terminal and path of _run; and the first and last
+    # draw of every piece take the same mode at every cut, which tells apart
+    # the routes of the one-detector preset.
     rng = random.Random(f"{name}-{rules.reverse_on_bs_reflection}")
     for direction, terminal, start_mode in cases(net, all_ports=True):
         if terminal is None:
             terminal = basis_ket(net.sources[0])
         plan = _build_plan(net, direction, terminal, start_mode, rules)
-        adversarial = adversarial_quantiles(net.n_stages)
-        rng.shuffle(adversarial)
-        quantiles = []
-        for q in adversarial:
-            quantiles += [q, rng.random(), rng.random()]
-        for q, route in zip(quantiles, _classify(plan, quantiles), strict=True):
-            rec = _run(plan, q)
-            assert route.modes == tuple(s.mode for s in rec.states), q
-            assert (route.terminal, route.path) == (rec.terminal, rec.path), q
+        edges, outcomes = _partition(plan)
+        draws = []
+        for k in adversarial_draws(net.n_stages):
+            draws += [k, rng.getrandbits(53), rng.getrandbits(53)]
+        for k in draws:
+            rec = _run(plan, k * 2.0 ** -53)
+            assert outcomes[bisect_right(edges, k)] == (rec.terminal, rec.path), k
+        bounds = [0, *edges, 2 ** 53]
+        for lo, hi in zip(bounds, bounds[1:]):
+            first, last = (_run(plan, k * 2.0 ** -53) for k in (lo, hi - 1))
+            assert [s.mode for s in first.states] == [s.mode for s in last.states], lo
 
 
 def description(net: Network) -> dict:
@@ -282,3 +338,59 @@ def test_routes_equal_the_oracle_partition(name, net, rules):
             rec = _run(plan, q)
             assert (rec.terminal, rec.path) == (piece_terminal, piece_path), (
                 direction, start_mode, q)
+
+
+@pytest.mark.parametrize("name,net,rules", [c for c, _ in BOUNDARY_CHAINS],
+                         ids=[i for _, i in BOUNDARY_CHAINS])
+def test_partition_equals_the_oracle_partition(name, net, rules):
+    # Piece for piece: start edge (the oracle's lo as a draw numerator),
+    # terminal and path, forward, reversed and from a one-port functional.
+    reference = oracle.Network(description(net))
+    for direction, terminal, start_mode in cases(net, all_ports=True):
+        if terminal is None:
+            terminal = basis_ket(net.sources[0])
+        plan = _build_plan(net, direction, terminal, start_mode, rules)
+        edges, outcomes = _partition(plan)
+        pieces = reference.pieces(direction, terminal.entries, plan.start_mode,
+                                  rules.reverse_on_bs_reflection)
+        assert [(lo, *outcome) for lo, outcome in zip([0, *edges], outcomes)] == [
+            (math.ceil(lo * 2 ** 53), piece_terminal, piece_path)
+            for lo, _, piece_terminal, piece_path in pieces], (direction, start_mode)
+
+
+def test_draws_miss_a_raising_piece():
+    # A splitter chain feeds a merge of unequal weights (1/8 and 1/16 of the
+    # packet), so only the draws of 3/16 of the unit interval raise; an
+    # ensemble none of whose draws lands there returns its counts.  Rails a
+    # beamsplitter leaves alone get an in-place mirror, so every merge is
+    # balanced.
+    splitters = [(("a", "b"), ("c", "d")), (("d", "e"), ("f", "g")), (("g", "h"), ("i", "j")),
+                 (("j", "k"), ("l", "m")), (("i", "l"), ("n", "o"))]
+    rails, stages = {"a", "b", "e", "h", "k"}, []
+    for ins, outs in splitters:
+        rails = (rails - set(ins)) | set(outs)
+        stages.append({"elements": [{"type": "beamsplitter", "in": list(ins), "out": list(outs)}]
+                       + [{"type": "mirror", "in": m, "out": m} for m in sorted(rails - set(outs))]})
+    net = build_network({"modes": list("abcdefghijklmno"), "sources": ["a"], "stages": stages})
+    kinds = set()
+    for seed in range(12):
+        for samples in (1, 2):
+            args = (net, samples, seed)
+            expected = outcome(reference_ensemble, *args)
+            assert outcome(run_ensemble, *args) == expected, (seed, samples)
+            kinds.add(expected[0])
+    assert kinds == {"ok", "UnsupportedMergeError"}
+
+
+def test_ensemble_memory_stays_per_block():
+    # Draws are counted a block at a time: a million samples never hold a
+    # list of all draws (8 MB of pointers alone).
+    net = preset_double_mz()
+    tracemalloc.start()
+    try:
+        stats = run_ensemble(net, 10 ** 6, 9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(stats.detector_counts.values()) == 10 ** 6
+    assert peak < 2 ** 20
