@@ -9,16 +9,16 @@ State literals use the grammar ``mode:re,im`` joined by ``;``, e.g.
 ``g:0.7071067811865476,0;h:0,-0.7071067811865476``, with finite ``re`` and
 ``im``.  ``--pre`` literals are kets; ``--post`` literals are postselection
 functionals (their conjugates are the postselected state's amplitudes).  A
-literal that ``is_normalized`` rejects is renormalized, with a note.
+literal whose norm is off 1 by more than ``DEFAULT_TOL`` is renormalized,
+with a note, before amplitudes under ``PRUNE_TOL`` are dropped.
 
 Exit codes: 0 success; 2 usage errors (unknown flags, missing arguments);
 3 configuration errors (missing or invalid network or projector files);
-4 computation errors (inconsistent selections, unsupported merge contexts,
-basis mismatches); 5 malformed state literals; 6 out-of-range parameters
-(cuts, quantiles, sample counts, non-finite pointer readings).  Output is
-deterministic: identical invocations render byte-identical reports, with
-seeds echoed in the output; record ``i`` of ``measure`` draws from
-``derive_stream(seed, i)``.
+4 computation errors (inconsistent selections, basis mismatches); 5 malformed
+state literals; 6 out-of-range parameters (cuts, quantiles, sample counts,
+non-finite pointer readings).  Output is deterministic: identical
+invocations render byte-identical reports, with seeds echoed in the
+output; record ``i`` of ``measure`` draws from ``derive_stream(seed, i)``.
 
 The argument parser is built once per process, on the first request, and
 reused by every later request.
@@ -34,7 +34,8 @@ import sys
 from dataclasses import dataclass, field
 
 from .demo import network_diagram, run_demo
-from .hilbert import Bra, Ket, Projector, make_projector, state_json, _sig12
+from .hilbert import (DEFAULT_TOL, Bra, Ket, Projector, make_projector, state_json, _left_sum,
+                      _sig12)
 from .network import (Network, NetworkConfigError, OutOfRangeError, backward_chain,
                       build_network, forward_chain, preset_double_mz)
 from .pilot import RuleTable, run_ensemble, run_trajectory
@@ -99,20 +100,28 @@ def parse_state_literal(text: str) -> dict[str, complex]:
 
 
 def _read_state(cls: type, text: str, diagnostics: list[str]) -> Ket | Bra:
-    state = cls(parse_state_literal(text))
+    entries = parse_state_literal(text)
+    unit, norm = _unit_entries(entries, f"state literal {text!r}")
+    if abs(norm - 1.0) > DEFAULT_TOL:
+        diagnostics.append(f"{'pre' if cls is Ket else 'post'} state renormalized "
+                           f"(norm was {norm:.6g})")
+        entries = unit
+    return cls(entries)
+
+
+def _unit_entries(entries: dict[str, complex], name: str) -> tuple[dict[str, complex], float]:
+    """``entries`` divided by their norm, and the norm.  The norm is taken over
+    every parsed amplitude, in ``Ket`` order, before ``Ket``/``Bra`` prune
+    the small ones, so a literal means the same at every scale."""
     try:
-        norm = state.norm()
+        norm = math.sqrt(_left_sum(abs(entries[m]) ** 2 for m in sorted(entries)))
     except OverflowError:  # a squared amplitude overflows
         norm = math.inf
     if norm == math.inf:  # also when only the sum of squares does
-        raise OverflowError(f"state literal {text!r}: its norm overflows a float")
+        raise OverflowError(f"{name}: its norm overflows a float")
     if norm == 0:
-        raise StateLiteralError("state literal has zero norm")
-    if not state.is_normalized():
-        role = "pre" if cls is Ket else "post"
-        diagnostics.append(f"{role} state renormalized (norm was {state.norm():.6g})")
-        state = state.normalized()
-    return state
+        raise StateLiteralError(f"{name} has zero norm")
+    return {m: a / norm for m, a in entries.items()}, norm
 
 
 def _load_network(args) -> Network:
@@ -161,7 +170,7 @@ def _outcome(rec) -> tuple[str, Projector]:
         if not (isinstance(ket, dict) and all(_is_amplitude(a) for a in ket.values())):
             raise ConfigFileError(f"outcome {label!r}: 'ket' must map modes to [re, im]")
         amps = {m: complex(re, im) for m, (re, im) in ket.items()}
-        return label, make_projector(Ket(amps).normalized())
+        return label, make_projector(Ket(_unit_entries(amps, f"outcome {label!r}: 'ket'")[0]))
     raise ConfigFileError(f"outcome {label!r} needs 'modes' or 'ket'")
 
 

@@ -97,12 +97,6 @@ class Ket(_State):
 
     _symbol = "|{}⟩"
 
-    def add(self, other: "Ket") -> "Ket":
-        merged = dict(self.entries)
-        for m, a in other.entries.items():
-            merged[m] = merged.get(m, 0j) + a
-        return Ket(merged)
-
 
 class Bra(_State):
     """Sparse linear functional.  Pairs with kets by plain contraction.

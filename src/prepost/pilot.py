@@ -4,24 +4,24 @@ A particle is a (mode, quantile) pair: the quantile q in [0, 1) is its
 cumulative-probability position inside the wave packet occupying its mode,
 measured from the leading edge.  Transport is exact: a particle is the
 zero-width cell just above (or, after an order reversal, just below) a
-dyadic rational, held as Python ints ``(num, den, side)`` and started from
-the float q0 as the cell just above it.  Reported quantiles are num/den,
+rational, held as Python ints ``(num, den, side)`` and started from the
+float q0 as the cell just above it.  Reported quantiles are num/den,
 correctly rounded, so a particle at the trailing edge of its packet (the
 cell just below 1) reads 1.0.  Every rule is one affine map, cut by cut:
 
 * mirror: the packet is reflected, so particle order reverses: q -> 1 - q.
-* beamsplitter, one occupied input (a split): a cell below 1/2 (the
-  leading half) transmits, q -> 2q; the trailing half reflects,
-  q -> 2(1 - q) (reflection reverses order; measure-preserving rescaling
-  onto the reflected packet).
-* beamsplitter, two coherent equal-weight occupied inputs interfering into
-  a single occupied output (a merge): the reflected input fills the leading
-  half with its order reversed, q -> (1 - q)/2; the transmitted input fills
-  the trailing half preserving order, q -> (1 + q)/2.
+* beamsplitter, the product coupling: input i, of mass w_i = |a_i|^2 (the
+  float read as an exact rational), sends w_i * v_j / W to output j, of
+  mass v_j = |o_j|^2, W being the total.  An input packet is laid out as
+  [transmitted | reflected], so a cell below v_t / (v_t + v_r) transmits;
+  an output packet as [reflected inflow | transmitted inflow], and a
+  reflected piece is reversed.  One occupied input gives the split,
+  q -> 2q or 2(1 - q); one occupied output the merge, q -> (1 - q)/2 or
+  (1 + q)/2.
 
 A decreasing map flips the side of the cell.  Trajectories never cross:
 distinct quantiles stay distinct, and a uniform quantile ensemble
-reproduces |amplitude|^2 statistics at the detectors.
+reproduces |amplitude|^2 statistics at every cut.
 
 Whether reflection at a *beamsplitter* reverses packet order cannot be
 settled by detector statistics; both conventions give the same terminal
@@ -36,15 +36,15 @@ diagnostic "empty-wave component absent".
 
 Ensembles count their draws instead of transporting each one.  Every rule
 is an affine map of the exact cell, the only branch on the position is
-whether the cell lies below 1/2, and which element a particle meets, and
-whether a merge routes it, depend on its mode alone.  So the draws k / 2^53
-that share a route form a half-open interval of numerators k, and pushing
-all of [0, 2^53) through the stages as integer affine maps of k yields the
-exact partition by route.  Draws are counted per piece in index order, and
-the counts are expanded in the order the pieces were first reached, so
-every count dict is ordered by the first draw to reach each key, as when
-every draw is transported.  A piece whose route raises keeps the error,
-which is raised only if a draw lands in the piece.
+whether the cell lies below its element's threshold, and which element a
+particle meets, and its threshold, depend on its mode alone.  So the draws
+k / 2^53 that share a route form a half-open interval of numerators k, and
+pushing all of [0, 2^53) through the stages as integer affine maps of k
+yields the exact partition by route.  Draws are counted per piece in index
+order, and the counts are expanded in the order the pieces were first
+reached, so every count dict is ordered by the first draw to reach each
+key, as when every draw is transported.  A piece whose route raises keeps
+the error, which is raised only if a draw lands in the piece.
 """
 from __future__ import annotations
 
@@ -52,6 +52,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, groupby, repeat
+from math import gcd
 from typing import Iterable, Union
 
 from .hilbert import Bra, Ket
@@ -60,12 +61,7 @@ from .network import (BS_REFLECT, BS_TRANSMIT, Element, Network, OutOfRangeError
 from .rng import substream_draws
 
 OCCUPANCY_TOL = 1e-12
-EQUAL_WEIGHT_TOL = 1e-9
 EMPTY_WAVE_DIAGNOSTIC = "empty-wave component absent"
-
-
-class UnsupportedMergeError(ValueError):
-    """Two-input amplitude pattern outside the supported rule table."""
 
 
 class TrajectoryError(ValueError):
@@ -83,18 +79,15 @@ class RuleTable:
 DEFAULT_RULES = RuleTable()
 
 # An exact position (num, den, side): the zero-width cell just above (side +1)
-# or just below (side -1) the dyadic rational num/den.
+# or just below (side -1) the rational num/den.
 Position = tuple[int, int, int]
-# Each rule (scale, shift, halve) is x -> (scale*x + shift) / 2**halve, and a
-# decreasing one flips the side; reflection rules are keyed by
-# ``RuleTable.reverse_on_bs_reflection``.
+# Each rule (scale, shift, div) is x -> (scale*x + shift) / div, and a
+# decreasing one flips the side.
 Rule = tuple[int, int, int]
-_IDENTITY = (1, 0, 0)
-_MIRROR = (-1, 1, 0)
-_SPLIT_TRANSMIT = (2, 0, 0)
-_SPLIT_REFLECT = {True: (-2, 2, 0), False: (2, -1, 0)}
-_MERGE_REFLECT = {True: (-1, 1, 1), False: (1, 0, 1)}
-_MERGE_TRANSMIT = (1, 1, 1)
+_IDENTITY = (1, 0, 1)
+_MIRROR = (-1, 1, 1)
+# The threshold (num, den) of an element with one branch: every cell lies below 1.
+_WHOLE = (1, 1)
 
 
 @dataclass(frozen=True)
@@ -181,63 +174,80 @@ def element_transfer(
 ) -> tuple[str, Position]:
     """Transport one particle, at its exact cell ``position``, through one
     element (see module docstring): the output mode and the image cell."""
-    branches = _branches(element, mode, context)
+    return _transfer(mode, position, _branches(element, context).get(mode))
+
+
+def _transfer(mode: str, position: Position, branching) -> tuple[str, Position]:
+    """``element_transfer`` given the entry of ``_branches`` for the port of
+    ``mode`` (``None`` if the element has no such port)."""
+    if branching is None:
+        raise TrajectoryError(f"particle on {mode!r} is not at this element")
+    if isinstance(branching, TrajectoryError):
+        raise branching
     num, den, side = position
-    # A split sends a cell below 1/2 down its first branch, any other down its second.
-    out, rule = branches[len(branches) == 2 and (2 * num, side) >= (den, 0)]
-    return out, _image(position, rule)
+    # The cell is the one-draw piece k -> (side*k + num) / den, k in [0, 1).
+    ((_, _, a, b, d, out),) = _images(0, 1, side, num, den, *branching)
+    return out, (b, d, 1 if a > 0 else -1)
 
 
-def _branches(element: Element, mode: str, context: TransferContext) -> tuple[tuple[str, Rule], ...]:
-    """Where ``element`` sends a particle on ``mode``: one ``(out_mode, rule)``
-    branch, or a split's transmitted and reflected branches.  Which applies
-    depends on the mode alone, and so does every error."""
-    if element.kind == "mirror":
-        ins, outs = _oriented_ports(element, context.direction)
-        if mode != ins[0]:
-            raise TrajectoryError(f"particle on {mode!r} is not at this mirror")
-        return ((outs[0], _MIRROR),)
-    if element.kind == "detector":
-        if mode != element.ins[0]:
-            raise TrajectoryError(f"particle on {mode!r} is not at this detector")
-        return ((mode, _IDENTITY),)
-
-    (p_in0, p_in1), (p_out0, p_out1) = _oriented_ports(element, context.direction)
-    if mode not in (p_in0, p_in1):
-        raise TrajectoryError(f"particle on {mode!r} is not an input of this beamsplitter")
-    amp0, amp1 = context.amplitudes.get(p_in0, 0j), context.amplitudes.get(p_in1, 0j)
-    occ0, occ1 = abs(amp0) > OCCUPANCY_TOL, abs(amp1) > OCCUPANCY_TOL
-    if not (occ0 if mode == p_in0 else occ1):
-        raise TrajectoryError(f"particle on {mode!r} but that port carries no amplitude")
-
-    # Transmission keeps the port pairing (in0<->out0, in1<->out1).
-    transmit_to = p_out0 if mode == p_in0 else p_out1
-    reflect_to = p_out1 if mode == p_in0 else p_out0
+def _branches(element: Element,
+              context: TransferContext) -> dict[str, Union[tuple, TrajectoryError]]:
+    """Where ``element`` sends a particle on each of its input ports: a
+    rational threshold ``(num, den)`` and the ``(out_mode, rule)`` branches
+    of a cell below it and of any other cell (one branch serves both off a
+    beamsplitter), or the error a particle on an empty port raises."""
+    ins, outs = _oriented_ports(element, context.direction)
+    if element.kind != "beamsplitter":
+        return {ins[0]: (_WHOLE, ((outs[0], _MIRROR if element.kind == "mirror" else _IDENTITY),))}
+    amp0, amp1 = context.amplitudes.get(ins[0], 0j), context.amplitudes.get(ins[1], 0j)
+    empty = {p: TrajectoryError(f"particle on {p!r} but that port carries no amplitude")
+             for p, amp in zip(ins, (amp0, amp1)) if not abs(amp) > OCCUPANCY_TOL}
+    if len(empty) == 2:
+        return empty
+    scale = max(abs(amp0), abs(amp1))
+    # The first input supplies the share sn/sd of each output packet, and
+    # transmits the share tn/td of its own packet; the second input's
+    # shares are the complements.
+    sn, sd = _share(amp0, amp1, scale, OCCUPANCY_TOL)
+    tn, td = _share(BS_TRANSMIT * amp0 + BS_REFLECT * amp1,
+                    BS_REFLECT * amp0 + BS_TRANSMIT * amp1, scale, OCCUPANCY_TOL * scale)
     reverse = context.rules.reverse_on_bs_reflection
-
-    if occ0 and occ1:
-        scale = max(abs(amp0), abs(amp1))
-        if abs(abs(amp0) - abs(amp1)) > EQUAL_WEIGHT_TOL * scale:
-            raise UnsupportedMergeError(
-                f"two occupied inputs with unequal weights ({abs(amp0):.6g} vs {abs(amp1):.6g})"
-            )
-        out0 = BS_TRANSMIT * amp0 + BS_REFLECT * amp1
-        out1 = BS_REFLECT * amp0 + BS_TRANSMIT * amp1
-        occupied_outs = [p for p, a in ((p_out0, out0), (p_out1, out1)) if abs(a) > OCCUPANCY_TOL * scale]
-        if len(occupied_outs) != 1:
-            raise UnsupportedMergeError(
-                "two occupied inputs do not interfere into a single output"
-            )
-        target = occupied_outs[0]
-        return ((target, _MERGE_TRANSMIT if target == transmit_to else _MERGE_REFLECT[reverse]),)
-    return (transmit_to, _SPLIT_TRANSMIT), (reflect_to, _SPLIT_REFLECT[reverse])
+    branches: dict[str, Union[tuple, TrajectoryError]] = dict(empty)
+    # Transmission keeps the port pairing (in0<->out0, in1<->out1).
+    for port, s, t, (transmit_to, reflect_to) in ((ins[0], sn, tn, outs),
+                                                  (ins[1], sd - sn, td - tn, outs[::-1])):
+        if port not in empty:
+            reflect = ((-s * td, s * td, sd * (td - t)) if reverse
+                       else (s * td, -s * t, sd * (td - t)))
+            branches[port] = (t, td), ((transmit_to, (s * td, (sd - s) * t, sd * t)),
+                                       (reflect_to, reflect))
+    return branches
 
 
-def _image(position: Position, rule: Rule) -> Position:
-    """The image of the cell ``position`` under ``rule``."""
-    num, den, side = position
-    scale, shift, halve = rule
-    return scale * num + shift * den, den << halve, side if scale > 0 else -side
+def _share(x: complex, y: complex, scale: float, tol: float) -> tuple[int, int]:
+    """|x|^2 / (|x|^2 + |y|^2) as an exact fraction in lowest terms, of the
+    float masses |x / scale|^2 and |y / scale|^2, an amplitude of at most
+    ``tol`` counting as empty."""
+    p, q = ((abs(x) / scale) ** 2 if abs(x) > tol else 0.0).as_integer_ratio()
+    r, s = ((abs(y) / scale) ** 2 if abs(y) > tol else 0.0).as_integer_ratio()
+    g = gcd(p * s, p * s + r * q)
+    return p * s // g, (p * s + r * q) // g
+
+
+def _images(lo: int, hi: int, a: int, b: int, d: int, threshold: tuple[int, int],
+            branches: tuple[tuple[str, Rule], ...]) -> list[tuple]:
+    """The piece of draws ``k`` in ``[lo, hi)`` whose cell is ``(a*k + b) / d``,
+    on the side of sign(a), split at the rational ``threshold``: the
+    nonempty parts below it and not below it, as ``(start, end, a, b, d,
+    out_mode)`` of their images under ``branches`` (see ``_branches``)."""
+    num, den = threshold
+    # The cell lies below num/den iff k < x (a > 0) or k >= x (a < 0).
+    x = -((b * den - num * d) // (a * den))
+    below, above = (lo, min(hi, x)), (max(lo, x), hi)
+    spans = (below, above) if a > 0 else (above, below)
+    return [(start, end, scale * a, scale * b + shift * d, d * div, out)
+            for (start, end), (out, (scale, shift, div)) in zip(spans, (branches[0], branches[-1]))
+            if start < end]
 
 
 def _oriented_ports(element: Element, direction: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -253,8 +263,8 @@ class _Plan:
 
     direction: str
     cuts: tuple[int, ...]          # cut sequence in traversal order
-    contexts: tuple[TransferContext, ...]
-    elements: tuple[dict[str, Element], ...]  # per stage, by oriented input port
+    # per stage, by oriented input port: ``_branches`` of the element there
+    branchings: tuple[dict[str, Union[tuple, TrajectoryError]], ...]
     start_mode: str
     terminal_names: dict[str, str]
     diagnostics: tuple[str, ...]
@@ -302,17 +312,15 @@ def _build_plan(
             f"start mode {start_mode!r} carries no amplitude in the terminal state"
         )
 
+    contexts = [TransferContext(dict(chain[cut].entries), direction=direction, rules=rules)
+                for cut in cuts[:-1]]
     return _Plan(
         direction=direction,
         cuts=cuts,
-        contexts=tuple(
-            TransferContext(dict(chain[cut].entries), direction=direction, rules=rules)
-            for cut in cuts[:-1]
-        ),
-        elements=tuple(
-            {port: el for el in net.stages[min(a, b)]
-             for port in _oriented_ports(el, direction)[0]}
-            for a, b in zip(cuts, cuts[1:])
+        branchings=tuple(
+            {port: branching for el in net.stages[min(a, b)]
+             for port, branching in _branches(el, context).items()}
+            for context, a, b in zip(contexts, cuts, cuts[1:])
         ),
         start_mode=start_mode,
         terminal_names=dict(net.detectors) if forward else {},
@@ -323,10 +331,9 @@ def _build_plan(
 def _run(plan: _Plan, q0: float) -> TrajectoryRecord:
     mode, position = plan.start_mode, (*q0.as_integer_ratio(), 1)
     states = [ParticleState(mode=mode, quantile=q0, cut=plan.cuts[0])]
-    for context, elements, cut in zip(plan.contexts, plan.elements, plan.cuts[1:]):
-        el = elements.get(mode)
-        if el is not None:
-            mode, position = element_transfer(el, mode, position, context)
+    for branchings, cut in zip(plan.branchings, plan.cuts[1:]):
+        if mode in branchings:
+            mode, position = _transfer(mode, position, branchings[mode])
         states.append(ParticleState(mode=mode, quantile=position[0] / position[1], cut=cut))
     terminal = plan.terminal_names.get(mode, mode)
     return TrajectoryRecord(
@@ -347,26 +354,15 @@ def _partition(plan: _Plan) -> tuple[tuple[int, ...], tuple]:
     """
     live = [(0, 1 << 53, 1, 0, 1 << 53, plan.start_mode, (plan.start_mode,))]
     pieces = []
-    for context, elements in zip(plan.contexts, plan.elements):
+    for branchings in plan.branchings:
         moved = []
         for lo, hi, a, b, d, mode, modes in live:
-            element = elements.get(mode)
-            try:
-                branches = (((mode, _IDENTITY),) if element is None
-                            else _branches(element, mode, context))
-            except (UnsupportedMergeError, TrajectoryError) as exc:
-                pieces.append((lo, exc))
+            branching = branchings.get(mode, (_WHOLE, ((mode, _IDENTITY),)))
+            if isinstance(branching, TrajectoryError):
+                pieces.append((lo, branching))
                 continue
-            spans = [(lo, hi)]
-            if len(branches) == 2:
-                # The cell lies below 1/2 iff k < x (a > 0) or k >= x (a < 0).
-                x = -((2 * b - d) // (2 * a))
-                below, above = (lo, min(hi, x)), (max(lo, x), hi)
-                spans = [below, above] if a > 0 else [above, below]
-            for (start, end), (out, (scale, shift, halve)) in zip(spans, branches):
-                if start < end:
-                    moved.append((start, end, scale * a, scale * b + shift * d, d << halve,
-                                  out, (*modes, out)))
+            moved += [(*piece, (*modes, piece[-1]))
+                      for piece in _images(lo, hi, a, b, d, *branching)]
         live = moved
     pieces += [(lo, (plan.terminal_names.get(mode, mode), _path(modes)))
                for lo, *_, mode, modes in live]

@@ -1,11 +1,14 @@
 """CLI contract tests: exit codes, report shapes, and determinism."""
 from __future__ import annotations
 
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prepost.cli import main, parse_request, parse_state_literal, StateLiteralError
 from prepost.hilbert import Bra, Ket
@@ -320,6 +323,24 @@ def test_abl_custom_projector_file(tmp_path, capsys):
     assert payload["probabilities"] == {"minus": 0.5, "plus": 0.5}
 
 
+def test_projector_ket_is_normalized_before_pruning(tmp_path, capsys):
+    # The same rotated basis written at two scales: the 1e-15 amplitudes
+    # are kept, since each ket is divided by its norm before pruning.
+    outputs = []
+    for scale in (1.0, 1e-13):
+        basis_file = {"outcomes": [
+            {"label": "x", "ket": {"c": [scale, 0], "d": [0.01 * scale, 0]}},
+            {"label": "y", "ket": {"c": [-0.01 * scale, 0], "d": [scale, 0]}},
+        ]}
+        path = tmp_path / f"basis-{scale}.json"
+        path.write_text(json.dumps(basis_file), encoding="utf-8")
+        code, out, _ = run_cli(["abl", "--preset", "--pre", "a:1,0", "--post", "g:1,0",
+                                "--cut", "1", "--basis", str(path), "--format", "json"], capsys)
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
 # ---------------------------------------------------------------------------
 # bohm output
 
@@ -368,6 +389,34 @@ def test_bohm_ensemble_json(capsys):
     assert payload["seed"] == 11
     assert set(payload["detector_counts"]) == {"G", "H"}
     assert payload["conditional_paths"]["G"] == {"a>c>e": payload["detector_counts"]["G"]}
+
+
+MESH_3 = {
+    "modes": ["r0", "r1", "r2", "m0", "m1", "m2", "m3"],
+    "stages": [
+        {"elements": [{"type": "beamsplitter", "in": ["r0", "r1"], "out": ["m0", "m1"]},
+                      {"type": "mirror", "in": "r2", "out": "r2"}]},
+        {"elements": [{"type": "beamsplitter", "in": ["m1", "r2"], "out": ["m2", "m3"]},
+                      {"type": "mirror", "in": "m0", "out": "m0"}]},
+    ],
+}
+
+
+@pytest.mark.parametrize("run", [["--samples", "500", "--seed", "4"], ["--quantile", "0.3"]],
+                         ids=["ensemble", "trajectory"])
+def test_bohm_on_a_mesh_fed_unequally(tmp_path, capsys, run):
+    # Both beamsplitters meet two occupied inputs of unequal weight; every
+    # beamsplitter follows the product coupling, so the run succeeds.
+    path = tmp_path / "mesh.json"
+    path.write_text(json.dumps(MESH_3), encoding="utf-8")
+    code, out, err = run_cli(["bohm", "--network", str(path), "--pre", "r0:0.6,0;r1:0,0.8",
+                              "--start-mode", "r0", *run, "--format", "json"], capsys)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    if "samples" in payload:
+        assert sum(payload["detector_counts"].values()) == 500
+    else:
+        assert payload["path"][0] == "r0"
 
 
 # ---------------------------------------------------------------------------
@@ -511,6 +560,29 @@ def test_overflowing_norm_names_the_literal(capsys, argv, literal):
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (4, "")
     assert err == f"error: state literal {literal!r}: its norm overflows a float\n"
+
+
+def scaled_stdout(k: int) -> str:
+    """stdout of ``evolve --preset`` with its two literals scaled by 2^k, less
+    the renormalization notes."""
+    def literal(amps):
+        return ";".join(f"{m}:{re * 2.0 ** k!r},{im * 2.0 ** k!r}" for m, re, im in amps)
+
+    argv = ["evolve", "--preset", "--pre", literal([("a", 3.0, 0.0), ("b", 0.0, 4e-3)]),
+            "--post", literal([("g", 1.0, 0.0), ("h", 0.0, -2e-3)])]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(argv) == 0
+    return "".join(line for line in out.getvalue().splitlines(keepends=True)
+                   if not line.startswith("note: ")).rstrip("\n")
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(min_value=-400, max_value=400))
+def test_scaling_a_literal_by_a_power_of_two_reads_the_same(k):
+    # The literal is renormalized before small amplitudes are pruned, so
+    # neither b nor h is dropped at any scale.
+    assert scaled_stdout(k) == scaled_stdout(0)
 
 
 def test_abl_with_an_empty_literal_exits_5(capsys):

@@ -16,7 +16,6 @@ from prepost.pilot import (
     RuleTable,
     TrajectoryError,
     TransferContext,
-    UnsupportedMergeError,
     _build_plan,
     _partition,
     _run,
@@ -134,19 +133,37 @@ def test_merge_transmitted_input_fills_trailing_half():
     assert transfer(bs, "d", 0.4, ctx) == ("e", 0.7)
 
 
-def test_merge_rejects_unequal_weights():
-    bs = Element("beamsplitter", ("u", "v"), ("x", "y"))
-    ctx = TransferContext({"u": 0.6, "v": 0.8})
-    with pytest.raises(UnsupportedMergeError, match="unequal"):
-        element_transfer(bs, "u", 0.3, ctx)
+def coupled(amps: dict, mode: str, q: float, reverse: bool = True) -> tuple[str, float]:
+    """The product coupling of ``u, v -> x, y`` by hand: ``mode`` supplies
+    its input's share s of each output packet and transmits the leading
+    share t = |o_t|^2 / (|o_t|^2 + |o_r|^2) of its own packet."""
+    u, v = amps.get("u", 0j), amps.get("v", 0j)
+    x, y = S * u + 1j * S * v, 1j * S * u + S * v
+    own, other = (u, v) if mode == "u" else (v, u)
+    (t_out, t_amp), (r_out, r_amp) = (("x", x), ("y", y)) if mode == "u" else (("y", y), ("x", x))
+    share = abs(own) ** 2 / (abs(own) ** 2 + abs(other) ** 2)
+    t = abs(t_amp) ** 2 / (abs(t_amp) ** 2 + abs(r_amp) ** 2)
+    if q < t:
+        return t_out, 1 - share + share * q / t
+    s = (q - t) / (1 - t)
+    return r_out, share * (1 - s if reverse else s)
 
 
-def test_merge_rejects_partial_interference():
+@pytest.mark.parametrize("rules", [DEFAULT_RULES, PRESERVE_RULES], ids=["reverse", "preserve"])
+@pytest.mark.parametrize("amps", [
+    {"u": 0.6, "v": 0.8},  # unequal weights, even split of the outputs
+    # partial interference
+    {"u": S, "v": S * complex(math.cos(math.pi / 4), math.sin(math.pi / 4))},
+    {"u": 0.3 - 0.1j, "v": -0.9 + 0.3j},
+], ids=["unequal", "partial", "generic"])
+def test_two_occupied_inputs_couple_by_product(amps, rules):
     bs = Element("beamsplitter", ("u", "v"), ("x", "y"))
-    phase = complex(math.cos(math.pi / 4), math.sin(math.pi / 4))
-    ctx = TransferContext({"u": S, "v": S * phase})
-    with pytest.raises(UnsupportedMergeError, match="single output"):
-        element_transfer(bs, "u", 0.3, ctx)
+    ctx = TransferContext(amps, rules=rules)
+    for mode in ("u", "v"):
+        for q in (0.0, 0.1, 0.3, 0.5, 0.8, 0.99):
+            out, image = transfer(bs, mode, q, ctx)
+            want_out, want = coupled(amps, mode, q, rules.reverse_on_bs_reflection)
+            assert out == want_out and abs(image - want) <= 1e-12, (mode, q)
 
 
 def test_transfer_requires_matching_port():
