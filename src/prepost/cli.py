@@ -16,9 +16,10 @@ Exit codes: 0 success; 2 usage errors (unknown flags, missing arguments);
 3 configuration errors (missing or invalid network or projector files);
 4 computation errors (inconsistent selections, basis mismatches); 5 malformed
 state literals; 6 out-of-range parameters (cuts, quantiles, sample counts,
-non-finite pointer readings).  Output is deterministic: identical
-invocations render byte-identical reports, with seeds echoed in the
-output; record ``i`` of ``measure`` draws from ``derive_stream(seed, i)``.
+pointer readings that are not finite or too coarse to decode).  Output is
+deterministic: identical invocations render byte-identical reports, with
+seeds echoed in the output; record ``i`` of ``measure`` draws from
+``derive_stream(seed, i)``.
 
 The argument parser is built once per process, on the first request, and
 reused by every later request.

@@ -13,9 +13,9 @@ on final-cut modes; detection probability is |amplitude|^2 there.
 
 Equal path lengths are encoded structurally: the two modes entering a
 beamsplitter must have become live at the same cut ("balanced arms").
-Validation builds each stage unitary once; kets evolve forward by them and
-bras evolve backward by right composition, which makes the pairing
-<post|pre> identical at every cut.
+Validation records each stage's couplings, the entries of its unitary;
+kets evolve forward by them and bras evolve backward by right composition,
+which makes the pairing <post|pre> identical at every cut.
 """
 from __future__ import annotations
 
@@ -25,13 +25,7 @@ from collections.abc import Mapping  # typing.Mapping's isinstance is several ti
 from dataclasses import dataclass, field
 from typing import Union
 
-from .hilbert import (
-    Bra,
-    Ket,
-    LinearOp,
-    apply,
-    apply_dual,
-)
+from .hilbert import Bra, Ket, LinearOp, _contract
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 BS_TRANSMIT = complex(_INV_SQRT2, 0.0)
@@ -98,7 +92,8 @@ class Network:
     detectors: dict[str, str]
     sources: tuple[str, ...]
     live: tuple[tuple[str, ...], ...]  # live modes at each cut 0..n
-    _unitaries: tuple[LinearOp, ...] = field(repr=False, compare=False)  # one per stage
+    # Per stage, the stage unitary's entries {(out mode, in mode): amplitude}.
+    _couplings: tuple[dict[tuple[str, str], complex], ...] = field(repr=False, compare=False)
 
     @property
     def n_stages(self) -> int:
@@ -203,8 +198,11 @@ def _parse_element(rec: Mapping, stage_index: int) -> Element:
         ins, outs = (ins,), (outs,)
     elif not (isinstance(ins, (list, tuple)) and isinstance(outs, (list, tuple))):
         raise NetworkConfigError("beamsplitter 'in'/'out' must be two-element lists")
-    where = f"{kind} in stage {stage_index}"
-    return Element(kind, _labels(ins, where), _labels(outs, where))
+    ins, outs = tuple(ins), tuple(outs)
+    for m in ins + outs:
+        if not isinstance(m, str):
+            raise NetworkConfigError(f"{kind} in stage {stage_index}: mode label {m!r} is not a string")
+    return Element(kind, ins, outs)
 
 
 def _validate(
@@ -215,15 +213,10 @@ def _validate(
 ) -> Network:
     declared = set(modes)
     # A mode is an input when no element ever produces it afresh; an element
-    # that consumes and re-emits the same label (a pass-through mirror) does
-    # not count as producing it.
+    # that consumes and re-emits the same label (a pass-through mirror or a
+    # detector) does not count as producing it.
     freshly_produced = {
-        out
-        for stage in stages
-        for el in stage
-        if el.kind != "detector"
-        for out in el.outs
-        if out not in el.ins
+        out for stage in stages for el in stage for out in el.outs if out not in el.ins
     }
     inferred_inputs = {m for m in declared if m not in freshly_produced}
 
@@ -237,47 +230,43 @@ def _validate(
                 f"declared sources {sorted(bad)} are produced by elements or unused"
             )
 
-    live_since: dict[str, int] = {m: 0 for m in inferred_inputs}
-    live: set[str] = set(inferred_inputs)
-    live_per_cut: list[tuple[str, ...]] = [tuple(sorted(live))]
-    unitaries: list[LinearOp] = []
+    # The live modes, each with the cut it became live at.
+    live_since: dict[str, int] = {m: 0 for m in sorted(inferred_inputs)}
+    live_per_cut: list[tuple[str, ...]] = [tuple(live_since)]
+    couplings: list[dict[tuple[str, str], complex]] = []
 
     for k, stage in enumerate(stages):
         seen_ports: set[str] = set()
         for el in stage:
-            for port in (*el.ins, *el.outs):
-                if port not in declared:
-                    raise UnknownModeError(
-                        f"stage {k}: mode {port!r} is not declared in 'modes'"
-                    )
-            distinct = set(el.ins) | set(el.outs)
-            if distinct & seen_ports:
+            ports = el.ins + el.outs
+            if not declared.issuperset(ports):
+                port = next(p for p in ports if p not in declared)
+                raise UnknownModeError(f"stage {k}: mode {port!r} is not declared in 'modes'")
+            if not seen_ports.isdisjoint(ports):
                 raise DuplicateModeError(
-                    f"stage {k}: mode {sorted(distinct & seen_ports)} used by two elements"
+                    f"stage {k}: mode {sorted(seen_ports.intersection(ports))} used by two elements"
                 )
-            seen_ports |= distinct
-        consumed: dict[str, Element] = {}
-        produced: dict[str, Element] = {}
+            seen_ports.update(ports)
+        consumed: set[str] = set()
+        produced: set[str] = set()
         entries: dict[tuple[str, str], complex] = {}
         for el in stage:
             if el.kind == "detector":
-                if el.ins[0] not in live:
+                if el.ins[0] not in live_since:
                     raise UnknownModeError(
                         f"stage {k}: detector on mode {el.ins[0]!r} which is not live"
                     )
                 continue
             for m in el.ins:
-                if m not in live:
+                if m not in live_since:
                     raise UnknownModeError(
                         f"stage {k}: mode {m!r} consumed but not produced by an earlier stage or source"
                     )
-                consumed[m] = el
             for m in el.outs:
-                if m in live and not (m in el.ins and el.kind == "mirror"):
-                    raise UnknownModeError(
-                        f"stage {k}: mode {m!r} produced while still live"
-                    )
-                produced[m] = el
+                if m in live_since and not (m in el.ins and el.kind == "mirror"):
+                    raise UnknownModeError(f"stage {k}: mode {m!r} produced while still live")
+            consumed.update(el.ins)
+            produced.update(el.outs)
             if el.kind == "beamsplitter":
                 (u, v), (x, y) = el.ins, el.outs
                 du, dv = live_since[u], live_since[v]
@@ -290,15 +279,12 @@ def _validate(
                 entries[(y, u)] = entries[(x, v)] = BS_REFLECT
             else:  # mirror
                 entries[(el.outs[0], el.ins[0])] = 1.0 + 0j
-        entries.update({(m, m): 1.0 + 0j for m in live_per_cut[-1] if m not in consumed})
+        entries.update({(m, m): 1.0 + 0j for m in live_since if m not in consumed})
         for m in consumed:
-            live.discard(m)
-            live_since.pop(m, None)
-        for m in produced:
-            live.add(m)
-            live_since[m] = k + 1
-        live_per_cut.append(tuple(sorted(live)))
-        unitaries.append(LinearOp(live_per_cut[-2], live_per_cut[-1], entries))
+            del live_since[m]
+        live_since.update(dict.fromkeys(produced, k + 1))
+        live_per_cut.append(tuple(sorted(live_since)))
+        couplings.append(entries)
 
     return Network(
         modes=modes,
@@ -306,7 +292,7 @@ def _validate(
         detectors=detectors,
         sources=tuple(sorted(source_set)),
         live=tuple(live_per_cut),
-        _unitaries=tuple(unitaries),
+        _couplings=tuple(couplings),
     )
 
 
@@ -339,14 +325,15 @@ def preset_double_mz() -> Network:
 
 
 def stage_unitary(net: Network, stage: int) -> LinearOp:
-    """Block unitary of one stage, built with the network: live(cut stage) -> live(cut stage+1).
+    """Block unitary of one stage: live(cut stage) -> live(cut stage+1).
 
     Beamsplitters contribute the 2x2 block ((1, i), (i, 1))/sqrt(2); mirrors
-    carry unit amplitude; untouched live modes pass through unchanged.
+    carry unit amplitude; untouched live modes pass through unchanged.  Built
+    on each call from the stage's couplings, which traversals contract directly.
     """
     if not isinstance(stage, int) or not 0 <= stage < net.n_stages:
         raise OutOfRangeError(f"stage {stage!r} out of range 0..{net.n_stages - 1}")
-    return net._unitaries[stage]
+    return LinearOp(net.live[stage], net.live[stage + 1], net._couplings[stage])
 
 
 def _traverse(
@@ -366,18 +353,17 @@ def _traverse(
     if isinstance(state, Ket):
         if frm > to:
             raise ValueError("kets evolve forward: need frm <= to")
-        stages = range(frm, to)
+        stages, src = range(frm, to), 1
     elif isinstance(state, Bra):
         if frm < to:
             raise ValueError("bras evolve backward: need frm >= to")
-        stages = range(frm - 1, to - 1, -1)
+        stages, src = range(frm - 1, to - 1, -1), 0
     else:
         raise TypeError(f"cannot evolve {type(state).__name__}")
+    # Each state stays on the live modes of its cut, so one support check suffices.
     states = [state]
     for k in stages:
-        op = stage_unitary(net, k)
-        states.append(apply(op, states[-1]) if isinstance(state, Ket)
-                      else apply_dual(states[-1], op))
+        states.append(_contract(net._couplings[k], states[-1], src))
     return states
 
 
@@ -390,8 +376,8 @@ def evolve(
     """Evolve a ket forward (frm <= to) or a bra backward (frm >= to).
 
     The state must be supported on modes live at the starting cut.  Bras
-    compose on the right with each stage unitary, so the pairing with any
-    forward-evolved ket is the same at every cut.
+    compose on the right with each stage's couplings, so the pairing with
+    any forward-evolved ket is the same at every cut.
     """
     return _traverse(net, state, frm, to)[-1]
 

@@ -13,6 +13,9 @@ Both time directions therefore decode the same eigenvalue from the same
 pair of readings.  Free evolution of system and pointer is zero, and the
 pointer is idealized as perfectly localized, so shifts are exact real
 arithmetic; readings are compared with tolerance :data:`POSITION_TOL`.
+Float readings make q2 - q1 miss the value by up to one ulp of
+|q| + max|eigenvalue|, so a run where that ulp exceeds the tolerance
+raises :class:`OutOfRangeError` before drawing.
 
 Record ``index`` of a run with seed ``seed`` draws from the SplitMix64
 substream ``derive_stream(seed, index)``; identical inputs give identical records.
@@ -115,6 +118,10 @@ def measure_backward(
 def _measure(setup: MeasurementSetup, system: Union[Ket, Bra], q_start: float, seed: int,
              index: int, direction: str) -> MeasurementRecord:
     weights = _weights(system, setup)
+    reach = abs(q_start) + max(map(abs, setup.eigenvalues))
+    if math.isfinite(reach) and math.ulp(reach) > POSITION_TOL:  # an infinite one fails below
+        raise OutOfRangeError(f"pointer readings near {reach!r} are {math.ulp(reach)!r} apart, too "
+                              f"coarse to resolve the eigenvalues within {POSITION_TOL}")
     idx = derive_stream(seed, index).choice_index(weights)
     label = setup.eigenbasis[idx]
     value = setup.eigenvalues[idx]

@@ -1,8 +1,10 @@
 """CLI contract tests: exit codes, report shapes, and determinism."""
 from __future__ import annotations
 
+import contextlib
 import io
 import json
+import math
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -13,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 from prepost.cli import main, parse_request, parse_state_literal, StateLiteralError
 from prepost.hilbert import Bra, Ket
 from prepost.network import PRESET_DOUBLE_MZ
-from prepost.pointer import MeasurementSetup, measure_backward, measure_forward
+from prepost.pointer import (POSITION_TOL, MeasurementSetup, decode_reading, measure_backward,
+                             measure_forward)
 
 
 def run_cli(argv, capsys):
@@ -560,6 +563,58 @@ def test_overflowing_norm_names_the_literal(capsys, argv, literal):
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (4, "")
     assert err == f"error: state literal {literal!r}: its norm overflows a float\n"
+
+
+def test_a_pointer_too_coarse_to_decode_exits_6(capsys):
+    argv = MEASURE_UV + ["--eigenvalues", "0.1,0.2", "--pointer"]
+    code, out, err = run_cli(argv + ["1e8"], capsys)
+    assert (code, out) == (6, "")
+    assert err.startswith("error: pointer readings near 100000000.2 are ")
+    assert run_cli(argv + ["1e6"], capsys)[0] == 0
+
+
+@st.composite
+def measure_requests(draw):
+    """(argv, eigenvalues, pointer) of measure requests with eigenvalues of
+    several scales and pointers at every scale, half of them within a few
+    ulps of where |pointer| + max|eigenvalue| stops being accepted."""
+    values = draw(st.lists(st.one_of(st.floats(-4.0, 4.0), st.floats(-1e7, 1e7),
+                                     st.sampled_from([0.1, 0.2, -0.3, 3e-9])),
+                           min_size=2, max_size=3, unique=True))
+    if draw(st.booleans()):
+        pointer = draw(st.floats(1.0, 2.0, exclude_max=True)) * 2.0 ** draw(st.integers(-40, 60))
+    else:
+        edge = 2.0 ** draw(st.integers(22, 24)) - max(map(abs, values))
+        pointer = edge + draw(st.integers(-3, 3)) * math.ulp(edge)
+    pointer *= draw(st.sampled_from([1.0, -1.0]))
+    labels = [f"s{i}" for i in range(len(values))]
+    argv = ["measure", "--direction", draw(st.sampled_from(["forward", "backward"])),
+            "--system", ";".join(f"{m}:{len(values) ** -0.5!r},0" for m in labels),
+            "--eigenbasis", ",".join(labels), "--eigenvalues", ",".join(map(repr, values)),
+            f"--pointer={pointer!r}", "--samples", "4", "--seed", str(draw(st.integers(0, 99))),
+            "--format", "json"]
+    return argv, tuple(values), pointer
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(measure_requests())
+def test_every_accepted_measurement_decodes_to_its_value(request):
+    argv, values, pointer = request
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    try:
+        setup = MeasurementSetup(tuple(f"s{i}" for i in range(len(values))), values)
+    except ValueError:  # eigenvalues too close to decode
+        assert code == 4
+        return
+    coarse = math.ulp(abs(pointer) + max(map(abs, values))) > POSITION_TOL
+    assert code == (6 if coarse else 0), err.getvalue()
+    for record in json.loads(out.getvalue())["records"] if code == 0 else []:
+        q1, q2 = record["q_initial"], record["q_final"]
+        if record["direction"] == "backward":
+            q1, q2 = q2, q1
+        assert decode_reading(setup, q1, q2) == record["deduced"]
 
 
 def scaled_stdout(k: int) -> str:

@@ -186,13 +186,13 @@ def test_stage_index_range(net):
 def test_traversals_leave_the_network_unchanged():
     net = preset_double_mz()
     before = copy.deepcopy(net)
+    unitaries = [stage_unitary(net, k) for k in range(net.n_stages)]
     forward_chain(net, basis_ket("a"))
     backward_chain(net, basis_bra("g"))
     certainty_report(net, basis_ket("a"), basis_bra("g"))
     run_ensemble(net, 200, seed=3)
     assert vars(net) == vars(before)
-    for k in range(net.n_stages):
-        assert stage_unitary(net, k) is stage_unitary(net, k)
+    assert [stage_unitary(net, k) for k in range(net.n_stages)] == unitaries
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +397,114 @@ def test_produced_while_live_rejected():
 def test_non_string_labels_rejected(cfg):
     with pytest.raises(NetworkConfigError, match="not a string"):
         build_network(cfg)
+
+
+# Multi-fault configs pin which fault a build reports: every parse fault
+# (element records, then 'detectors' names, then 'sources' labels) before any
+# validation fault; 'sources' membership before the stages; stage by stage,
+# element by element, the declared and duplicate checks before liveness.
+def _bs(u, v, x, y):
+    return {"type": "beamsplitter", "in": [u, v], "out": [x, y]}
+
+
+def _mirror(m, o):
+    return {"type": "mirror", "in": m, "out": o}
+
+
+_TAIL = [{"elements": [_mirror("c", "c"), _mirror("d", "d")]}] * 2
+_LASER = {"elements": [{"type": "laser", "in": "c", "out": "c"}]}
+_LASER_ERROR = (NetworkConfigError, "unknown element type 'laser' in stage 3")
+_NOT_LIVE = "consumed but not produced by an earlier stage or source"
+
+
+def _faulty(stage0, *later, **extra):
+    return {"modes": list("abcdefgh"), "stages": [{"elements": stage0}, *later], **extra}
+
+
+FAULT_PRECEDENCE = {
+    "parse-stage3-vs-undeclared-stage0": (
+        _faulty([_bs("a", "zz", "c", "d")], *_TAIL, _LASER), _LASER_ERROR),
+    "parse-stage3-vs-duplicate-stage0": (
+        _faulty([_bs("a", "b", "c", "d"), _mirror("a", "e")], *_TAIL, _LASER), _LASER_ERROR),
+    "parse-stage3-vs-not-live-stage0": (
+        _faulty([_bs("a", "b", "c", "d"), _mirror("g", "g")], {"elements": [_mirror("c", "g")]},
+                {"elements": [_mirror("d", "d"), _mirror("g", "g")]}, _LASER), _LASER_ERROR),
+    "parse-stage3-vs-bad-source": (
+        _faulty([_bs("a", "b", "c", "d")], *_TAIL, _LASER, sources=["c"]), _LASER_ERROR),
+    "parse-stage3-vs-non-string-source": (
+        _faulty([_bs("a", "b", "c", "d")], *_TAIL, _LASER, sources=[1]), _LASER_ERROR),
+    "parse-stage3-vs-bad-detector-name": (
+        _faulty([_bs("a", "b", "c", "d")], *_TAIL, _LASER, detectors={"c": ""}), _LASER_ERROR),
+    "non-string-in-and-out": (
+        _faulty([_bs("a", 1, 2, "d")]),
+        (NetworkConfigError, "beamsplitter in stage 0: mode label 1 is not a string")),
+    "non-string-mirror-in-and-out": (
+        _faulty([_mirror(1, 2)]),
+        (NetworkConfigError, "mirror in stage 0: mode label 1 is not a string")),
+    "non-string-out-then-in-later": (
+        _faulty([_bs("a", "b", "c", 2), _bs(3, "b", "c", "d")]),
+        (NetworkConfigError, "beamsplitter in stage 0: mode label 2 is not a string")),
+    "repeated-beamsplitter-port-vs-undeclared-stage0": (
+        _faulty([_bs("a", "zz", "c", "d")], *_TAIL, {"elements": [_bs("c", "d", "c", "e")]}),
+        (NetworkConfigError, "beamsplitter ports not pairwise distinct: ('c', 'd', 'c', 'e')")),
+    "bad-detector-name-vs-undeclared-stage0": (
+        _faulty([_bs("a", "zz", "c", "d")], detectors={"c": 7}),
+        (NetworkConfigError, "detector name for mode 'c' must be a nonempty string")),
+    "non-string-mode-vs-parse-stage3": (
+        {"modes": ["a", 1], "stages": [{"elements": []}] * 3 + [_LASER]},
+        (NetworkConfigError, "'modes': mode label 1 is not a string")),
+    "undeclared-then-duplicate": (
+        _faulty([_bs("a", "b", "c", "d"), _mirror("zz", "e"), _mirror("a", "f")]),
+        (UnknownModeError, "stage 0: mode 'zz' is not declared in 'modes'")),
+    "duplicate-then-undeclared": (
+        _faulty([_bs("a", "b", "c", "d"), _mirror("a", "e"), _mirror("zz", "f")]),
+        (DuplicateModeError, "stage 0: mode ['a'] used by two elements")),
+    "duplicate-and-undeclared-in-one-element": (
+        _faulty([_bs("a", "b", "c", "d"), _mirror("a", "zz")]),
+        (UnknownModeError, "stage 0: mode 'zz' is not declared in 'modes'")),
+    "not-live-then-duplicate-next-stage": (
+        _faulty([_bs("a", "b", "c", "d"), _mirror("g", "g")],
+                {"elements": [_mirror("c", "g"), _mirror("c", "h")]}),
+        (UnknownModeError, f"stage 0: mode 'g' {_NOT_LIVE}")),
+    "duplicate-after-not-live-in-one-stage": (
+        _faulty([_bs("a", "b", "c", "d"), _mirror("g", "g"), _mirror("c", "h")],
+                {"elements": [_mirror("c", "g")]}),
+        (DuplicateModeError, "stage 0: mode ['c'] used by two elements")),
+    "not-live-then-unbalanced": (
+        _faulty([_mirror("a", "c")], {"elements": [_mirror("g", "g"), _bs("c", "b", "e", "f")]},
+                {"elements": [_mirror("e", "g")]}),
+        (UnknownModeError, f"stage 1: mode 'g' {_NOT_LIVE}")),
+    "unbalanced-then-not-live": (
+        _faulty([_mirror("a", "c")], {"elements": [_bs("c", "b", "e", "f"), _mirror("g", "g")]},
+                {"elements": [_mirror("e", "g")]}),
+        (UnbalancedArmsError,
+         "stage 1: beamsplitter merges 'c' (live since cut 1) with 'b' (live since cut 0)")),
+    "bad-source-vs-undeclared-stage2": (
+        _faulty([_bs("a", "b", "c", "d")], _TAIL[0], {"elements": [_mirror("c", "zz")]},
+                sources=["c"]),
+        (NetworkConfigError, "declared sources ['c'] are produced by elements or unused")),
+    "undeclared-source-vs-duplicate-stage0": (
+        _faulty([_bs("a", "b", "c", "d"), _mirror("a", "e")], sources=["a", "zz"]),
+        (NetworkConfigError, "declared sources ['zz'] are produced by elements or unused")),
+    "detector-not-live": (
+        _faulty([_bs("a", "b", "c", "d")], detectors={"a": "A"}),
+        (UnknownModeError, "stage 1: detector on mode 'a' which is not live")),
+    "produced-while-live-vs-undeclared-later": (
+        _faulty([_bs("a", "b", "c", "d")], {"elements": [_mirror("c", "d")]},
+                {"elements": [_mirror("zz", "zz")]}),
+        (UnknownModeError, "stage 1: mode 'd' produced while still live")),
+}
+
+
+@pytest.mark.parametrize("name", FAULT_PRECEDENCE)
+def test_build_reports_the_first_fault_in_a_fixed_order(name):
+    cfg, (error, message) = FAULT_PRECEDENCE[name]
+    with pytest.raises(NetworkConfigError) as info:
+        build_network(cfg)
+    assert (type(info.value), str(info.value)) == (error, message)
+    with pytest.raises(error) as again:  # a JSON string is checked the same way
+        build_network(json.dumps(cfg))
+    assert str(again.value) == message
 
 
 def test_range_checks_raise_the_shared_out_of_range_error(net):
