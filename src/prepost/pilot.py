@@ -21,7 +21,10 @@ cell just below 1) reads 1.0.  Every rule is one affine map, cut by cut:
 
 A decreasing map flips the side of the cell.  Trajectories never cross:
 distinct quantiles stay distinct, and a uniform quantile ensemble
-reproduces |amplitude|^2 statistics at every cut.
+reproduces |amplitude|^2 statistics at every cut.  A port is occupied iff
+|amplitude| > OCCUPANCY_TOL there, the one occupancy test; a particle on an
+empty port, or at a beamsplitter that leaves both outputs empty, raises
+TrajectoryError, so every particle rides occupied ports only.
 
 Whether reflection at a *beamsplitter* reverses packet order cannot be
 settled by detector statistics; both conventions give the same terminal
@@ -174,7 +177,8 @@ def element_transfer(
 ) -> tuple[str, Position]:
     """Transport one particle, at its exact cell ``position``, through one
     element (see module docstring): the output mode and the image cell."""
-    return _transfer(mode, position, _branches(element, context).get(mode))
+    branchings = _branches(element, context.amplitudes, context.direction, context.rules)
+    return _transfer(mode, position, branchings.get(mode))
 
 
 def _transfer(mode: str, position: Position, branching) -> tuple[str, Position]:
@@ -190,47 +194,48 @@ def _transfer(mode: str, position: Position, branching) -> tuple[str, Position]:
     return out, (b, d, 1 if a > 0 else -1)
 
 
-def _branches(element: Element,
-              context: TransferContext) -> dict[str, Union[tuple, TrajectoryError]]:
-    """Where ``element`` sends a particle on each of its input ports: a
-    rational threshold ``(num, den)`` and the ``(out_mode, rule)`` branches
-    of a cell below it and of any other cell (one branch serves both off a
-    beamsplitter), or the error a particle on an empty port raises."""
-    ins, outs = _oriented_ports(element, context.direction)
+def _branches(element: Element, amplitudes: dict[str, complex], direction: str,
+              rules: RuleTable) -> dict[str, Union[tuple, TrajectoryError]]:
+    """Where ``element`` sends a particle on each of its input ports in the
+    traversal ``direction`` of the wave ``amplitudes``: a rational threshold
+    ``(num, den)`` and the ``(out_mode, rule)`` branches of a cell below it
+    and of any other cell (one branch serves both off a beamsplitter), or the
+    error it raises if the port or both outputs are empty (see ``_share``)."""
+    ins, outs = (element.ins, element.outs) if direction == "forward" else (element.outs, element.ins)
     if element.kind != "beamsplitter":
         return {ins[0]: (_WHOLE, ((outs[0], _MIRROR if element.kind == "mirror" else _IDENTITY),))}
-    amp0, amp1 = context.amplitudes.get(ins[0], 0j), context.amplitudes.get(ins[1], 0j)
-    empty = {p: TrajectoryError(f"particle on {p!r} but that port carries no amplitude")
-             for p, amp in zip(ins, (amp0, amp1)) if not abs(amp) > OCCUPANCY_TOL}
-    if len(empty) == 2:
-        return empty
+    amp0, amp1 = amplitudes.get(ins[0], 0j), amplitudes.get(ins[1], 0j)
     scale = max(abs(amp0), abs(amp1))
     # The first input supplies the share sn/sd of each output packet, and
     # transmits the share tn/td of its own packet; the second input's
     # shares are the complements.
-    sn, sd = _share(amp0, amp1, scale, OCCUPANCY_TOL)
+    sn, sd = _share(amp0, amp1, scale)
     tn, td = _share(BS_TRANSMIT * amp0 + BS_REFLECT * amp1,
-                    BS_REFLECT * amp0 + BS_TRANSMIT * amp1, scale, OCCUPANCY_TOL * scale)
-    reverse = context.rules.reverse_on_bs_reflection
-    branches: dict[str, Union[tuple, TrajectoryError]] = dict(empty)
+                    BS_REFLECT * amp0 + BS_TRANSMIT * amp1, scale)
+    reverse = rules.reverse_on_bs_reflection
+    branches: dict[str, Union[tuple, TrajectoryError]] = {}
     # Transmission keeps the port pairing (in0<->out0, in1<->out1).
     for port, s, t, (transmit_to, reflect_to) in ((ins[0], sn, tn, outs),
                                                   (ins[1], sd - sn, td - tn, outs[::-1])):
-        if port not in empty:
-            reflect = ((-s * td, s * td, sd * (td - t)) if reverse
-                       else (s * td, -s * t, sd * (td - t)))
-            branches[port] = (t, td), ((transmit_to, (s * td, (sd - s) * t, sd * t)),
-                                       (reflect_to, reflect))
+        if not (s and td):
+            why = "that port carries no amplitude" if not s else "its wave leaves no output occupied"
+            branches[port] = TrajectoryError(f"particle on {port!r} but {why}")
+            continue
+        reflect = ((-s * td, s * td, sd * (td - t)) if reverse
+                   else (s * td, -s * t, sd * (td - t)))
+        branches[port] = (t, td), ((transmit_to, (s * td, (sd - s) * t, sd * t)),
+                                   (reflect_to, reflect))
     return branches
 
 
-def _share(x: complex, y: complex, scale: float, tol: float) -> tuple[int, int]:
+def _share(x: complex, y: complex, scale: float) -> tuple[int, int]:
     """|x|^2 / (|x|^2 + |y|^2) as an exact fraction in lowest terms, of the
-    float masses |x / scale|^2 and |y / scale|^2, an amplitude of at most
-    ``tol`` counting as empty."""
-    p, q = ((abs(x) / scale) ** 2 if abs(x) > tol else 0.0).as_integer_ratio()
-    r, s = ((abs(y) / scale) ** 2 if abs(y) > tol else 0.0).as_integer_ratio()
-    g = gcd(p * s, p * s + r * q)
+    float masses |x / scale|^2 and |y / scale|^2.  An amplitude is occupied
+    iff its magnitude exceeds ``OCCUPANCY_TOL`` (the module's one occupancy
+    test), an empty one has mass 0, and ``(0, 0)`` means both are empty."""
+    p, q = ((abs(x) / scale) ** 2 if abs(x) > OCCUPANCY_TOL else 0.0).as_integer_ratio()
+    r, s = ((abs(y) / scale) ** 2 if abs(y) > OCCUPANCY_TOL else 0.0).as_integer_ratio()
+    g = gcd(p * s, p * s + r * q) or 1
     return p * s // g, (p * s + r * q) // g
 
 
@@ -250,13 +255,6 @@ def _images(lo: int, hi: int, a: int, b: int, d: int, threshold: tuple[int, int]
             if start < end]
 
 
-def _oriented_ports(element: Element, direction: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """``(ins, outs)`` of the element in the traversal direction."""
-    if direction == "forward":
-        return element.ins, element.outs
-    return element.outs, element.ins
-
-
 @dataclass(frozen=True)
 class _Plan:
     """Precomputed per-run data shared by every sample of an ensemble."""
@@ -273,10 +271,18 @@ class _Plan:
 def _build_plan(
     net: Network,
     direction: str,
-    terminal_state: Union[Ket, Bra],
+    terminal_state: Union[Ket, Bra, None],
     start_mode: str | None,
     rules: RuleTable,
 ) -> _Plan:
+    """The plan of a run from ``terminal_state``, by default the entry ket on
+    the network's single source."""
+    if terminal_state is None:
+        if direction != "forward":
+            raise TrajectoryError("reversed runs require an explicit terminal state")
+        if len(net.sources) != 1:
+            raise TrajectoryError("no default entry state: network has multiple sources")
+        terminal_state = Ket({net.sources[0]: 1.0 + 0j})
     if direction not in ("forward", "reversed"):
         raise ValueError(f"direction must be 'forward' or 'reversed', got {direction!r}")
     if not terminal_state.entries:
@@ -289,11 +295,10 @@ def _build_plan(
     cuts = tuple(range(net.n_cuts) if forward else range(net.n_stages, -1, -1))
     diagnostics: tuple[str, ...] = ()
     if not forward:
-        scale = max(abs(a) for a in terminal_state.entries.values())
         leaked = [
             m
             for m, a in chain[0].entries.items()
-            if m not in net.sources and abs(a) > OCCUPANCY_TOL * scale
+            if m not in net.sources and abs(a) > OCCUPANCY_TOL
         ]
         if leaked:
             diagnostics = (f"{EMPTY_WAVE_DIAGNOSTIC} (terminal state reaches non-source ports "
@@ -312,15 +317,13 @@ def _build_plan(
             f"start mode {start_mode!r} carries no amplitude in the terminal state"
         )
 
-    contexts = [TransferContext(dict(chain[cut].entries), direction=direction, rules=rules)
-                for cut in cuts[:-1]]
     return _Plan(
         direction=direction,
         cuts=cuts,
         branchings=tuple(
             {port: branching for el in net.stages[min(a, b)]
-             for port, branching in _branches(el, context).items()}
-            for context, a, b in zip(contexts, cuts, cuts[1:])
+             for port, branching in _branches(el, chain[a].entries, direction, rules).items()}
+            for a, b in zip(cuts, cuts[1:])
         ),
         start_mode=start_mode,
         terminal_names=dict(net.detectors) if forward else {},
@@ -370,19 +373,6 @@ def _partition(plan: _Plan) -> tuple[tuple[int, ...], tuple]:
     return los[1:], outcomes
 
 
-def _terminal_or_default(
-    net: Network, direction: str, terminal_state: Union[Ket, Bra, None]
-) -> Union[Ket, Bra]:
-    """``terminal_state``, or the entry ket on the network's single source."""
-    if terminal_state is not None:
-        return terminal_state
-    if direction != "forward":
-        raise TrajectoryError("reversed runs require an explicit terminal state")
-    if len(net.sources) != 1:
-        raise TrajectoryError("no default entry state: network has multiple sources")
-    return Ket({net.sources[0]: 1.0 + 0j})
-
-
 def run_trajectory(
     net: Network,
     q0: float,
@@ -400,8 +390,7 @@ def run_trajectory(
     """
     if not (isinstance(q0, (int, float)) and 0.0 <= q0 < 1.0):
         raise OutOfRangeError(f"quantile must lie in [0, 1), got {q0!r}")
-    plan = _build_plan(net, direction, _terminal_or_default(net, direction, terminal_state),
-                       start_mode, rules)
+    plan = _build_plan(net, direction, terminal_state, start_mode, rules)
     return _run(plan, q0)
 
 
@@ -424,8 +413,7 @@ def run_ensemble(
     """
     if samples < 1:
         raise OutOfRangeError("samples must be >= 1")
-    plan = _build_plan(net, direction, _terminal_or_default(net, direction, terminal_state),
-                       start_mode, rules)
+    plan = _build_plan(net, direction, terminal_state, start_mode, rules)
     edges, outcomes = _partition(plan)
     draws = chain.from_iterable(substream_draws(seed, samples))
     detector_counts: dict[str, int] = {}

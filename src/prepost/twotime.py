@@ -28,11 +28,10 @@ from .hilbert import (
     PRUNE_TOL,
     Bra,
     Ket,
-    LinearOp,
     Projector,
     _entries_close,
     _left_sum,
-    compose,
+    _product,
     make_projector,
 )
 from .network import Network, backward_chain, build_network, evolve, forward_chain
@@ -133,14 +132,11 @@ class ProjectorSet:
                 total[k] = total.get(k, 0j) + v
         if self.outcomes and _entries_close(total, {(m, m): 1.0 + 0j for m in basis}, tol):
             return
-        ops = [LinearOp(basis, basis, p.entries) for _, p in self.outcomes]
-        for i in range(len(ops)):
-            for j in range(i + 1, len(ops)):
-                prod = compose(ops[i], ops[j])
-                if any(abs(a) > tol for a in prod.entries.values()):
-                    raise IncompleteProjectorSetError(
-                        f"projectors {self.outcomes[i][0]!r} and {self.outcomes[j][0]!r} overlap"
-                    )
+        for i, (label, p) in enumerate(self.outcomes):
+            for other, q in self.outcomes[i + 1:]:
+                # Entries of p @ q, pruned as a composed operator's are, that exceed tol.
+                if not _entries_close(_product(p.entries, q.entries), {}, tol):
+                    raise IncompleteProjectorSetError(f"projectors {label!r} and {other!r} overlap")
         raise IncompleteProjectorSetError(
             "projector set does not sum to the identity on the live space"
         )

@@ -356,20 +356,57 @@ def test_partition_equals_the_oracle_partition(name, net, rules):
             for lo, _, piece_terminal, piece_path in pieces], (direction, start_mode)
 
 
-def test_draws_miss_a_raising_piece():
-    # The start rail r0 carries amplitude 1.5e-12, just above OCCUPANCY_TOL.
-    # Its splitter sends the leading ~40% of its packet to m0, whose
-    # amplitude 9.5e-13 is above the splitter's output tolerance (relative
-    # to its inputs) but below the next splitter's input tolerance, so those
-    # routes raise; an ensemble none of whose draws lands there returns its
-    # counts.
-    net = build_network({"modes": ["r0", "r1", "r2", "m0", "m1", "m2", "m3"], "stages": [
+def three_rail_mesh() -> Network:
+    """r0 and r1 meet at a splitter; its output m0 then meets r2 at a
+    second splitter, while m1 and r2 are mirrored in place."""
+    return build_network({"modes": ["r0", "r1", "r2", "m0", "m1", "m2", "m3"], "stages": [
         {"elements": [{"type": "beamsplitter", "in": ["r0", "r1"], "out": ["m0", "m1"]},
                       {"type": "mirror", "in": "r2", "out": "r2"}]},
         {"elements": [{"type": "beamsplitter", "in": ["m0", "r2"], "out": ["m2", "m3"]},
                       {"type": "mirror", "in": "m1", "out": "m1"}]},
     ]})
-    ket = Ket({"r0": 1.5e-12, "r1": 1.5e-13j, "r2": 1.0})
+
+
+# The start rail r0 carries 1.5e-12, just above OCCUPANCY_TOL, and r1
+# 1.5e-13i: their splitter leaves 9.5e-13 on m0 and 1.17e-12 on m1.
+FAINT_START = Ket({"r0": 1.5e-12, "r1": 1.5e-13j, "r2": 1.0})
+
+
+def test_a_faint_start_rides_its_one_occupied_output(tmp_path, capsys):
+    # m0 is empty, so every particle from r0 rides m1 to the end: at every
+    # quantile, in every draw of an ensemble, and through the CLI.
+    net = three_rail_mesh()
+    plan = _build_plan(net, "forward", FAINT_START, "r0", DEFAULT_RULES)
+    assert _partition(plan) == ((), (("m1", ("r0",)),))
+    for q in adversarial_quantiles(net.n_stages) + [(k + 0.5) / 64 for k in range(64)]:
+        rec = _run(plan, q)
+        assert (rec.terminal, rec.path) == ("m1", ("r0",)), q
+    for seed in range(3):
+        stats = run_ensemble(net, 500, seed, "forward", FAINT_START, "r0")
+        assert stats.conditional_paths == {"m1": {("r0",): 500}}
+    path = tmp_path / "mesh.json"
+    path.write_text(json.dumps(description(net)), encoding="utf-8")
+    assert main(["bohm", "--network", str(path), "--pre", "r0:1.5e-12,0;r1:0,1.5e-13;r2:1,0",
+                 "--start-mode", "r0", "--quantile", "0.1"]) == 0
+    assert "terminal: m1" in capsys.readouterr().out
+
+
+def test_draws_miss_a_raising_piece():
+    # The start rail r0 carries amplitude 1.8e-12, just above OCCUPANCY_TOL.
+    # Its splitter sends the leading half of its packet to m0, of amplitude
+    # 1.27e-12, which meets the empty port r3 at the next splitter: both of
+    # that splitter's outputs, of 9e-13, are empty, so those routes raise.
+    # The trailing half rides m1 to the end, and an ensemble none of whose
+    # draws lands on m0 returns its counts.
+    net = build_network({"modes": ["r0", "r1", "r2", "r3", "r4", "m0", "m1", "m2", "m3"],
+                         "stages": [
+        {"elements": [{"type": "beamsplitter", "in": ["r0", "r1"], "out": ["m0", "m1"]},
+                      {"type": "mirror", "in": "r2", "out": "r2"},
+                      {"type": "mirror", "in": "r4", "out": "r3"}]},
+        {"elements": [{"type": "beamsplitter", "in": ["m0", "r3"], "out": ["m2", "m3"]},
+                      {"type": "mirror", "in": "m1", "out": "m1"}]},
+    ]})
+    ket = Ket({"r0": 1.8e-12, "r2": 1.0})
     kinds = set()
     for seed in range(12):
         for samples in (1, 2):

@@ -25,12 +25,13 @@ from prepost.pilot import (
     DEFAULT_RULES,
     OCCUPANCY_TOL,
     RuleTable,
+    TrajectoryError,
     _build_plan,
     _partition,
     _run,
     _transfer,
 )
-from test_pilot_classify import BOUNDARY_CHAINS
+from test_pilot_classify import BOUNDARY_CHAINS, FAINT_START, three_rail_mesh
 
 RULES = {"reverse": DEFAULT_RULES, "preserve": RuleTable(reverse_on_bs_reflection=False)}
 FULL = 1 << 53
@@ -205,3 +206,39 @@ def test_identities_on_meshes(name, rules, check):
     rng = random.Random(name)
     net = balanced_mesh(rng, *MESHES[name])
     check(net, fed_on_all_rails(rng, net), rules)
+
+
+def faint_start_cases():
+    """(network, entry ket, start mode): the three-rail mesh from a start
+    rail of 1.5e-12, and of 1.2e-12, whose splitter leaves both outputs at
+    8.5e-13; and seeded balanced meshes fed on every rail, the start rail
+    carrying 1.1e-12 to 2e-12."""
+    cases = [pytest.param(three_rail_mesh(), FAINT_START, "r0", id="three-rail"),
+             pytest.param(three_rail_mesh(), Ket({"r0": 1.2e-12, "r2": 1.0}), "r0",
+                          id="three-rail-1.2e-12")]
+    for seed in range(6):
+        rng = random.Random(seed)
+        rails = rng.randint(3, 16)
+        net = balanced_mesh(rng, rails, rng.randint(2, 6), rng.randint(1, rails // 2))
+        entries = dict(fed_on_all_rails(rng, net).entries)
+        start = rng.choice(net.live[0])
+        entries[start] = rng.uniform(1.1e-12, 2e-12) * entries[start] / abs(entries[start])
+        cases.append(pytest.param(net, Ket(entries), start, id=f"mesh-{seed}"))
+    return cases
+
+
+@pytest.mark.parametrize("rules", RULES.values(), ids=RULES.keys())
+@pytest.mark.parametrize("net,entry,start", faint_start_cases())
+def test_particles_ride_occupied_ports_only(net, entry, start, rules):
+    # Every trajectory that does not raise has |amplitude| > OCCUPANCY_TOL
+    # on its port at every cut: at 64 midpoints and at every piece's start.
+    chain = forward_chain(net, entry)
+    plan = _build_plan(net, "forward", entry, start, rules)
+    edges, _ = _partition(plan)
+    for q in [(k + 0.5) / 64 for k in range(64)] + [lo / FULL for lo in (0, *edges)]:
+        try:
+            rec = _run(plan, q)
+        except TrajectoryError:
+            continue
+        for state in rec.states:
+            assert abs(chain[state.cut][state.mode]) > OCCUPANCY_TOL, (q, state)

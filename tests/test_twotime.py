@@ -204,12 +204,14 @@ def test_validate_composes_nothing_on_a_valid_set(net, monkeypatch):
     sets.append((SPIN_LABELS, spin_observable((0.6, 0.0, 0.8))))
     calls = []
 
-    def counting(after, before):
-        calls.append(1)
-        return compose(after, before)
+    def counting(product):
+        def counted(after, before):
+            calls.append(1)
+            return product(after, before)
+        return counted
 
-    monkeypatch.setattr(prepost.hilbert, "compose", counting)
-    monkeypatch.setattr(prepost.twotime, "compose", counting)
+    monkeypatch.setattr(prepost.hilbert, "compose", counting(compose))
+    monkeypatch.setattr(prepost.twotime, "_product", counting(prepost.hilbert._product))
     for live, pset in sets:
         pset.validate(live)
     assert calls == []
@@ -509,16 +511,18 @@ def test_certainty_report_composes_one_label_projectors_only(monkeypatch):
     composed, validated = [], []
     validate = ProjectorSet.validate
 
-    def counting(after, before):
-        composed.append((after, before))
-        return compose(after, before)
+    def counting(product):
+        def counted(after, before):
+            composed.append((after, before))
+            return product(after, before)
+        return counted
 
     def recording(pset, basis, *args, **kwargs):
         validated.append((basis, pset))
         return validate(pset, basis, *args, **kwargs)
 
-    monkeypatch.setattr(prepost.hilbert, "compose", counting)
-    monkeypatch.setattr(prepost.twotime, "compose", counting)
+    monkeypatch.setattr(prepost.hilbert, "compose", counting(compose))
+    monkeypatch.setattr(prepost.twotime, "_product", counting(prepost.hilbert._product))
     monkeypatch.setattr(ProjectorSet, "validate", recording)
     certainty_report(net, pre, post)
     assert composed == []
