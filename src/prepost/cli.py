@@ -22,7 +22,9 @@ seeds echoed in the output; record ``i`` of ``measure`` draws from
 ``derive_stream(seed, i)``.
 
 The argument parser is built once per process, on the first request, and
-reused by every later request.
+reused by every later request.  A request led by a subcommand name is parsed by
+that subcommand's parser alone, and leftover arguments are a top-level usage
+error, as with ``parse_args``, which parses every other request.
 """
 from __future__ import annotations
 
@@ -347,6 +349,10 @@ _NEGATIVE_VALUE = re.compile(r"-\.?\d|-inf|-nan", re.IGNORECASE)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
+
+
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="prepost",
         description="Pre- and post-selected systems in beamsplitter networks.",
@@ -409,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for p in sub.choices.values():
         p._negative_number_matcher = _NEGATIVE_VALUE
-    return parser
+    return parser, sub.choices
 
 
 def _add_format(p) -> None:
@@ -425,14 +431,19 @@ _EXECUTORS = {
 }
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    return build_parser()
+_parsers = functools.cache(_build_parsers)
 
 
 def parse_request(argv=None):
     """Parse and validate an argument vector; argparse exits 2 on usage errors."""
-    return _parser().parse_args(argv)
+    parser, subs = _parsers()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if not argv or argv[0] not in subs:
+        return parser.parse_args(argv)
+    args, extras = subs[argv[0]].parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def execute(args) -> Report:

@@ -391,7 +391,7 @@ def run_trajectory(
     if not (isinstance(q0, (int, float)) and 0.0 <= q0 < 1.0):
         raise OutOfRangeError(f"quantile must lie in [0, 1), got {q0!r}")
     plan = _build_plan(net, direction, terminal_state, start_mode, rules)
-    return _run(plan, q0)
+    return _run(plan, abs(q0))  # q0 = -0.0 starts, and reports, as 0.0
 
 
 def run_ensemble(

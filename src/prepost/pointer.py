@@ -45,6 +45,8 @@ class MeasurementSetup:
             raise ValueError("eigenbasis and eigenvalues must have equal length")
         if len(set(self.eigenbasis)) != len(self.eigenbasis):
             raise ValueError("eigenbasis labels must be distinct")
+        if "" in self.eigenbasis:
+            raise ValueError("eigenbasis labels must be non-empty")
         if not all(math.isfinite(v) for v in self.eigenvalues):
             raise ValueError(f"eigenvalues must be finite, got {self.eigenvalues!r}")
         vals = sorted(self.eigenvalues)

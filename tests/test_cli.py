@@ -12,7 +12,7 @@ from contextlib import redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prepost.cli import main, parse_request, parse_state_literal, StateLiteralError
+from prepost.cli import build_parser, main, parse_request, parse_state_literal, StateLiteralError
 from prepost.hilbert import Bra, Ket
 from prepost.network import PRESET_DOUBLE_MZ
 from prepost.pointer import (POSITION_TOL, MeasurementSetup, decode_reading, measure_backward,
@@ -56,6 +56,75 @@ def test_parse_request_accepts_a_full_abl_invocation():
     assert args.basis == "path"
 
 
+NETWORK_FLAGS = ["--preset", "--network", "--format"]
+SUBCOMMAND_FLAGS = {
+    "evolve": NETWORK_FLAGS + ["--pre", "--post"],
+    "abl": NETWORK_FLAGS + ["--pre", "--post", "--cut", "--basis", "--certainty"],
+    "bohm": NETWORK_FLAGS + ["--direction", "--pre", "--post", "--quantile", "--samples", "--seed",
+                             "--start-mode", "--reflection-rule"],
+    "measure": ["--direction", "--system", "--eigenbasis", "--eigenvalues", "--pointer",
+                "--samples", "--seed", "--format"],
+    "demo": ["--seed", "--format"],
+}
+FLAGS = sorted(set().union(*SUBCOMMAND_FLAGS.values()))
+VALUES = ["a:1,0", "g:1,0", "net.json", "path", "0", "2", "0.25", "-1e-3", "-inf", "-0.5,0.5",
+          "u,v", "1,2", "forward", "reversed", "backward", "preserve", "text", "json"]
+ODD = ["-h", "--help", "--", "--bogus", "--sam", "--form", "", "ab"]
+
+
+def token_lists(flags, singles=st.nothing()):
+    """Up to four ``--flag value`` pairs, ``--flag=value`` tokens or ``singles``."""
+    pair = st.tuples(st.sampled_from(flags), st.sampled_from(VALUES))
+    part = st.one_of(pair.map(list), pair.map(lambda fv: ["=".join(fv)]),
+                     singles.map(lambda t: [t]))
+    return st.lists(part, max_size=4).map(lambda parts: [t for p in parts for t in p])
+
+
+@st.composite
+def argv_vectors(draw):
+    """A subcommand's request built from its flags, one in four with an odd
+    token in it, or a token list of every subcommand, flag, value and odd
+    token, the empty list among them."""
+    if draw(st.booleans()):
+        command = draw(st.sampled_from(list(SUBCOMMAND_FLAGS)))
+        argv = [command, *draw(token_lists(SUBCOMMAND_FLAGS[command]))]
+        if draw(st.integers(0, 3)) == 0:
+            argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(ODD)))
+        return argv
+    return draw(token_lists(FLAGS, st.sampled_from([*SUBCOMMAND_FLAGS, *VALUES, *ODD])))
+
+
+REFERENCE_PARSER = build_parser()
+
+
+def parse_outcome(parse, argv):
+    """``vars`` of the parsed namespace, or the exit code and output of the
+    ``SystemExit`` that parsing raised."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parse(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(argv_vectors())
+def test_parse_request_parses_like_the_top_level_parser(argv):
+    assert parse_outcome(parse_request, argv) == parse_outcome(REFERENCE_PARSER.parse_args, argv)
+
+
+def test_leftover_arguments_are_a_top_level_usage_error():
+    proc = subprocess.run(
+        [sys.executable, "-m", "prepost", "abl", "--preset", "--pre", "a:1,0", "--post", "g:1,0",
+         "--bogus"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("usage: prepost [-h] {evolve,abl,bohm,measure,demo} ...\n"
+                           "prepost: error: unrecognized arguments: --bogus\n")
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -83,6 +152,19 @@ def test_malformed_literal_exits_5(capsys):
 def test_out_of_range_quantile_exits_6(capsys):
     code, _, _ = run_cli(["bohm", "--preset", "--quantile", "1.5"], capsys)
     assert code == 6
+
+
+def test_a_negative_zero_quantile_reads_as_zero(capsys):
+    code, out, _ = run_cli(["bohm", "--preset", "--quantile", "-0.0"], capsys)
+    assert (code, out) == run_cli(["bohm", "--preset", "--quantile", "0"], capsys)[:2]
+    assert "from quantile 0:" in out and "cut 0 a q=0;" in out
+
+
+def test_an_empty_eigenbasis_label_exits_4(capsys):
+    code, out, err = run_cli(
+        ["measure", "--system", "u:1,0", "--eigenbasis", ",u", "--eigenvalues", "1,2"], capsys
+    )
+    assert (code, out, err) == (4, "", "error: eigenbasis labels must be non-empty\n")
 
 
 def test_bohm_zero_samples_exits_6(capsys):

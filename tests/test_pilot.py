@@ -180,6 +180,12 @@ def test_quantile_range_validated(net):
             run_trajectory(net, q)
 
 
+def test_a_negative_zero_quantile_starts_at_zero(net):
+    rec = run_trajectory(net, -0.0, "forward", basis_ket("a"))
+    assert math.copysign(1.0, rec.quantile0) == math.copysign(1.0, rec.states[0].quantile) == 1.0
+    assert rec == run_trajectory(net, 0.0, "forward", basis_ket("a"))
+
+
 # ---------------------------------------------------------------------------
 # forward trajectories on the preset
 

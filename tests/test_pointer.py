@@ -140,6 +140,11 @@ def test_rejects_degenerate_eigenvalues():
         MeasurementSetup(("s0", "s1"), (0.5,))
 
 
+def test_rejects_an_empty_label():
+    with pytest.raises(ValueError, match="non-empty"):
+        MeasurementSetup(("", "s1"), (0.5, -0.5))
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_rejects_non_finite_eigenvalues(value):
     with pytest.raises(ValueError, match="finite"):
