@@ -11,13 +11,8 @@ from .hilbert import (
     LinearOp,
     Projector,
     adjoint,
-    apply,
-    apply_dual,
     basis_bra,
     basis_ket,
-    check_unitary,
-    compose,
-    identity,
     make_projector,
 )
 from .network import (
@@ -26,14 +21,12 @@ from .network import (
     build_network,
     evolve,
     preset_double_mz,
-    stage_unitary,
 )
 from .pilot import (
     EnsembleStats,
     ParticleState,
     RuleTable,
     TrajectoryRecord,
-    element_transfer,
     run_ensemble,
     run_trajectory,
 )
@@ -47,7 +40,6 @@ from .pointer import (
 from .twotime import (
     ProjectorSet,
     TwoStateVector,
-    abl_probability,
     certainty_report,
     spin_observable,
     two_state_at_cut,
@@ -70,20 +62,13 @@ __all__ = [
     "RuleTable",
     "TrajectoryRecord",
     "TwoStateVector",
-    "abl_probability",
     "adjoint",
-    "apply",
-    "apply_dual",
     "basis_bra",
     "basis_ket",
     "build_network",
     "certainty_report",
-    "check_unitary",
-    "compose",
     "decode_reading",
-    "element_transfer",
     "evolve",
-    "identity",
     "make_projector",
     "measure_backward",
     "measure_forward",
@@ -91,6 +76,5 @@ __all__ = [
     "run_ensemble",
     "run_trajectory",
     "spin_observable",
-    "stage_unitary",
     "two_state_at_cut",
 ]

@@ -149,7 +149,8 @@ class LinearOp:
 
 class Projector(LinearOp):
     """A LinearOp validated to be idempotent and self-adjoint.  Both checks run
-    in place on the entries, deciding as ``op_close(compose(P, P), P)`` would."""
+    in place on the entries: P·P must match P within DEFAULT_TOL, entry by
+    entry, and every entry its transposed conjugate."""
 
     def __post_init__(self):
         super().__post_init__()
@@ -157,7 +158,7 @@ class Projector(LinearOp):
             raise ValueError("projector bases must coincide")
         square = _product(self.entries, self.entries)
         if not all(map(cmath.isfinite, square.values())):
-            LinearOp(self.in_basis, self.in_basis, square)  # raises as compose would
+            LinearOp(self.in_basis, self.in_basis, square)  # raises, naming the entry
         if not _entries_close(square, self.entries, DEFAULT_TOL):
             raise ValueError("operator is not idempotent")
         if any(abs(a - self.entries.get((c, r), 0j).conjugate()) > DEFAULT_TOL
@@ -173,36 +174,17 @@ def basis_bra(label: str) -> Bra:
     return Bra({label: 1.0 + 0j})
 
 
-def adjoint(x: Union[Ket, Bra, LinearOp]) -> Union[Bra, Ket, LinearOp]:
-    """Entrywise complex conjugate, transposing operator indices.
+def adjoint(x: Union[Ket, Bra]) -> Union[Bra, Ket]:
+    """Entrywise complex conjugate.
 
-    An involution: ``adjoint(adjoint(x)) == x``.  For states it converts
-    between a ket and the functional that projects onto it, so
+    An involution: ``adjoint(adjoint(x)) == x``.  It converts between a ket
+    and the functional that projects onto it, so
     ``adjoint(k).pair(k) == k.norm()**2``.
     """
     if isinstance(x, _State):
         dual = Bra if isinstance(x, Ket) else Ket
         return dual({m: a.conjugate() for m, a in x.entries.items()})
-    if isinstance(x, LinearOp):
-        return type(x)(
-            x.out_basis, x.in_basis,
-            {(c, r): a.conjugate() for (r, c), a in x.entries.items()},
-        )
     raise TypeError(f"adjoint undefined for {type(x).__name__}")
-
-
-def apply(op: LinearOp, ket: Ket) -> Ket:
-    """Matrix-vector product op|ket>."""
-    if missing := set(ket.entries) - set(op.in_basis):
-        raise BasisMismatchError(f"ket supported on {sorted(missing)} outside operator input basis")
-    return _contract(op.entries, ket, 1)
-
-
-def apply_dual(bra: Bra, op: LinearOp) -> Bra:
-    """Right composition <bra|op, so that apply_dual(b, op).pair(k) == b.pair(apply(op, k))."""
-    if missing := set(bra.entries) - set(op.out_basis):
-        raise BasisMismatchError(f"bra supported on {sorted(missing)} outside operator output basis")
-    return _contract(op.entries, bra, 0)
 
 
 def _contract(entries: Mapping[tuple[str, str], complex], state: _State, src: int) -> _State:
@@ -218,15 +200,6 @@ def _contract(entries: Mapping[tuple[str, str], complex], state: _State, src: in
     return type(state)(out)
 
 
-def compose(after: LinearOp, before: LinearOp) -> LinearOp:
-    """Operator product after @ before."""
-    if set(before.out_basis) != set(after.in_basis):
-        raise BasisMismatchError(
-            f"cannot compose: inner bases differ ({before.out_basis} vs {after.in_basis})"
-        )
-    return LinearOp(before.in_basis, after.out_basis, _product(after.entries, before.entries))
-
-
 def _product(after: Mapping, before: Mapping) -> dict[tuple[str, str], complex]:
     """Raw entries of after @ before, unchecked and unpruned, in a fixed sum order."""
     out: dict[tuple[str, str], complex] = {}
@@ -238,11 +211,6 @@ def _product(after: Mapping, before: Mapping) -> dict[tuple[str, str], complex]:
             key = (row, col)
             out[key] = out.get(key, 0j) + amp_a * amp_b
     return out
-
-
-def identity(labels: Iterable[str]) -> LinearOp:
-    labels = tuple(labels)
-    return LinearOp(labels, labels, {(m, m): 1.0 + 0j for m in labels})
 
 
 def make_projector(
@@ -272,18 +240,6 @@ def make_projector(
         entries = {(m, m): 1.0 + 0j for m in labels}
     full = tuple(labels | set(basis or ()))
     return Projector(full, full, entries)
-
-
-def check_unitary(op: LinearOp, tol: float = DEFAULT_TOL) -> bool:
-    """True iff adjoint(op) @ op equals the identity on the input basis within tol."""
-    product = compose(adjoint(op), op)
-    return op_close(product, identity(op.in_basis), tol)
-
-
-def op_close(a: LinearOp, b: LinearOp, tol: float = DEFAULT_TOL) -> bool:
-    if set(a.in_basis) != set(b.in_basis) or set(a.out_basis) != set(b.out_basis):
-        return False
-    return _entries_close(a.entries, b.entries, tol)
 
 
 def states_close(

@@ -25,7 +25,7 @@ from collections.abc import Mapping  # typing.Mapping's isinstance is several ti
 from dataclasses import dataclass, field
 from typing import Union
 
-from .hilbert import Bra, Ket, LinearOp, _contract
+from .hilbert import Bra, Ket, _contract
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 BS_TRANSMIT = complex(_INV_SQRT2, 0.0)
@@ -324,18 +324,6 @@ def preset_double_mz() -> Network:
     return build_network(PRESET_DOUBLE_MZ)
 
 
-def stage_unitary(net: Network, stage: int) -> LinearOp:
-    """Block unitary of one stage: live(cut stage) -> live(cut stage+1).
-
-    Beamsplitters contribute the 2x2 block ((1, i), (i, 1))/sqrt(2); mirrors
-    carry unit amplitude; untouched live modes pass through unchanged.  Built
-    on each call from the stage's couplings, which traversals contract directly.
-    """
-    if not isinstance(stage, int) or not 0 <= stage < net.n_stages:
-        raise OutOfRangeError(f"stage {stage!r} out of range 0..{net.n_stages - 1}")
-    return LinearOp(net.live[stage], net.live[stage + 1], net._couplings[stage])
-
-
 def _traverse(
     net: Network,
     state: Union[Ket, Bra],
@@ -375,9 +363,10 @@ def evolve(
 ) -> Union[Ket, Bra]:
     """Evolve a ket forward (frm <= to) or a bra backward (frm >= to).
 
-    The state must be supported on modes live at the starting cut.  Bras
-    compose on the right with each stage's couplings, so the pairing with
-    any forward-evolved ket is the same at every cut.
+    The state must be supported on modes live at the starting cut.  Kets
+    are contracted with each stage's couplings over their input modes, bras
+    over their output modes, so the pairing with any forward-evolved ket is
+    the same at every cut.
     """
     return _traverse(net, state, frm, to)[-1]
 

@@ -4,10 +4,11 @@ A particle is a (mode, quantile) pair: the quantile q in [0, 1) is its
 cumulative-probability position inside the wave packet occupying its mode,
 measured from the leading edge.  Transport is exact: a particle is the
 zero-width cell just above (or, after an order reversal, just below) a
-rational, held as Python ints ``(num, den, side)`` and started from the
-float q0 as the cell just above it.  Reported quantiles are num/den,
-correctly rounded, so a particle at the trailing edge of its packet (the
-cell just below 1) reads 1.0.  Every rule is one affine map, cut by cut:
+rational num/den, held in Python ints as a one-draw piece of the route
+partition below and started from the float q0 as the cell just above it.
+Reported quantiles are num/den, correctly rounded, so a particle at the
+trailing edge of its packet (the cell just below 1) reads 1.0.  Every rule
+is one affine map, cut by cut:
 
 * mirror: the packet is reflected, so particle order reverses: q -> 1 - q.
 * beamsplitter, the product coupling: input i, of mass w_i = |a_i|^2 (the
@@ -81,9 +82,6 @@ class RuleTable:
 
 DEFAULT_RULES = RuleTable()
 
-# An exact position (num, den, side): the zero-width cell just above (side +1)
-# or just below (side -1) the rational num/den.
-Position = tuple[int, int, int]
 # Each rule (scale, shift, div) is x -> (scale*x + shift) / div, and a
 # decreasing one flips the side.
 Rule = tuple[int, int, int]
@@ -157,41 +155,6 @@ class EnsembleStats:
             "samples": self.samples,
             "seed": self.seed,
         }
-
-
-@dataclass(frozen=True)
-class TransferContext:
-    """Wave information an element rule needs: complex amplitudes on the
-    element's input ports for the traversal direction."""
-
-    amplitudes: dict[str, complex]
-    direction: str = "forward"
-    rules: RuleTable = DEFAULT_RULES
-
-
-def element_transfer(
-    element: Element,
-    mode: str,
-    position: Position,
-    context: TransferContext,
-) -> tuple[str, Position]:
-    """Transport one particle, at its exact cell ``position``, through one
-    element (see module docstring): the output mode and the image cell."""
-    branchings = _branches(element, context.amplitudes, context.direction, context.rules)
-    return _transfer(mode, position, branchings.get(mode))
-
-
-def _transfer(mode: str, position: Position, branching) -> tuple[str, Position]:
-    """``element_transfer`` given the entry of ``_branches`` for the port of
-    ``mode`` (``None`` if the element has no such port)."""
-    if branching is None:
-        raise TrajectoryError(f"particle on {mode!r} is not at this element")
-    if isinstance(branching, TrajectoryError):
-        raise branching
-    num, den, side = position
-    # The cell is the one-draw piece k -> (side*k + num) / den, k in [0, 1).
-    ((_, _, a, b, d, out),) = _images(0, 1, side, num, den, *branching)
-    return out, (b, d, 1 if a > 0 else -1)
 
 
 def _branches(element: Element, amplitudes: dict[str, complex], direction: str,
@@ -331,19 +294,41 @@ def _build_plan(
     )
 
 
+def _walk(plan: _Plan, lo: int, hi: int, a: int, b: int, d: int):
+    """Push the piece of draws ``k`` in ``[lo, hi)``, at the cell ``(a*k + b) / d``
+    on the start mode, through the stages.  Yields, at every cut in traversal
+    order, the live pieces as ``(lo, hi, a, b, d, modes)``, ``modes`` being
+    the mode at every cut so far, and the ``(lo, error)`` of the pieces whose
+    route raised at the stage before it."""
+    live, raised = [(lo, hi, a, b, d, (plan.start_mode,))], []
+    for branchings in plan.branchings:
+        yield live, raised
+        moved, raised = [], []
+        for lo, hi, a, b, d, modes in live:
+            branching = branchings.get(modes[-1], (_WHOLE, ((modes[-1], _IDENTITY),)))
+            if isinstance(branching, TrajectoryError):
+                raised.append((lo, branching))
+                continue
+            moved += [(*piece[:-1], (*modes, piece[-1]))
+                      for piece in _images(lo, hi, a, b, d, *branching)]
+        live = moved
+    yield live, raised
+
+
 def _run(plan: _Plan, q0: float) -> TrajectoryRecord:
-    mode, position = plan.start_mode, (*q0.as_integer_ratio(), 1)
-    states = [ParticleState(mode=mode, quantile=q0, cut=plan.cuts[0])]
-    for branchings, cut in zip(plan.branchings, plan.cuts[1:]):
-        if mode in branchings:
-            mode, position = _transfer(mode, position, branchings[mode])
-        states.append(ParticleState(mode=mode, quantile=position[0] / position[1], cut=cut))
-    terminal = plan.terminal_names.get(mode, mode)
+    """The trajectory from the cell just above ``q0``: the one-draw piece
+    ``[0, 1)`` at the cell ``(k + num) / den``, read at every cut as ``b / d``."""
+    states = []
+    for cut, (live, raised) in zip(plan.cuts, _walk(plan, 0, 1, 1, *q0.as_integer_ratio())):
+        for _, error in raised:
+            raise error
+        ((*_, b, d, modes),) = live
+        states.append(ParticleState(mode=modes[-1], quantile=b / d if states else q0, cut=cut))
     return TrajectoryRecord(
         direction=plan.direction,
         quantile0=q0,
         states=tuple(states),
-        terminal=terminal,
+        terminal=plan.terminal_names.get(modes[-1], modes[-1]),
         diagnostics=plan.diagnostics,
     )
 
@@ -355,20 +340,11 @@ def _partition(plan: _Plan) -> tuple[tuple[int, ...], tuple]:
     piece ``bisect_right(edges, k)``.  A piece carries its cell as the
     integer affine map ``(a*k + b) / d`` of ``k``, on the side of sign(a).
     """
-    live = [(0, 1 << 53, 1, 0, 1 << 53, plan.start_mode, (plan.start_mode,))]
     pieces = []
-    for branchings in plan.branchings:
-        moved = []
-        for lo, hi, a, b, d, mode, modes in live:
-            branching = branchings.get(mode, (_WHOLE, ((mode, _IDENTITY),)))
-            if isinstance(branching, TrajectoryError):
-                pieces.append((lo, branching))
-                continue
-            moved += [(*piece, (*modes, piece[-1]))
-                      for piece in _images(lo, hi, a, b, d, *branching)]
-        live = moved
-    pieces += [(lo, (plan.terminal_names.get(mode, mode), _path(modes)))
-               for lo, *_, mode, modes in live]
+    for live, raised in _walk(plan, 0, 1 << 53, 1, 0, 1 << 53):
+        pieces += raised
+    pieces += [(lo, (plan.terminal_names.get(modes[-1], modes[-1]), _path(modes)))
+               for lo, *_, modes in live]
     los, outcomes = zip(*sorted(pieces, key=lambda piece: piece[0]))
     return los[1:], outcomes
 

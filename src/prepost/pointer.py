@@ -47,6 +47,9 @@ class MeasurementSetup:
             raise ValueError("eigenbasis labels must be distinct")
         if "" in self.eigenbasis:
             raise ValueError("eigenbasis labels must be non-empty")
+        if unnameable := [m for m in self.eigenbasis if ";" in m or ":" in m]:
+            raise ValueError(f"eigenbasis label {unnameable[0]!r} holds ';' or ':', "
+                             "which no state literal can name")
         if not all(math.isfinite(v) for v in self.eigenvalues):
             raise ValueError(f"eigenvalues must be finite, got {self.eigenvalues!r}")
         vals = sorted(self.eigenvalues)

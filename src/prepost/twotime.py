@@ -169,9 +169,10 @@ def _check_normalized(pre: Ket, post: Bra) -> None:
 def abl_distribution(tsv: TwoStateVector, outcomes: ProjectorSet) -> dict[str, float]:
     """Conditional probabilities for every outcome of an intermediate measurement.
 
-    Each weight |sum_r post[r] (sum_c P[r,c] pre[c])|^2 is read in place from
-    the projector's entries: row sums are checked and pruned as ``apply`` does
-    and every sum runs in stored order, as in ``post.pair(apply(P, pre))``.
+    Each weight |<post| P |pre>|^2 = |sum_r post[r] (sum_c P[r,c] pre[c])|^2 is
+    read in place from the projector's entries: the row sums P|pre> are
+    checked and pruned as a Ket's amplitudes are, and every sum runs in
+    stored order.
     """
     outcomes.validate(tsv.basis)
     post, pre = tsv.post.entries, tsv.pre.entries
@@ -182,7 +183,7 @@ def abl_distribution(tsv: TwoStateVector, outcomes: ProjectorSet) -> dict[str, f
             if c in pre:
                 rows[r] = rows.get(r, 0j) + a * pre[c]
         if not all(map(cmath.isfinite, rows.values())):
-            Ket(rows)  # raises as apply would
+            Ket(rows)  # raises, naming the non-finite row
         amp = _left_sum((post[r] * s for r, s in rows.items() if r in post and abs(s) >= PRUNE_TOL), 0j)
         weights[label] = abs(amp) ** 2
     denom = _left_sum(weights.values())
@@ -191,14 +192,6 @@ def abl_distribution(tsv: TwoStateVector, outcomes: ProjectorSet) -> dict[str, f
             "all outcome weights vanish; conditional probabilities undefined"
         )
     return {label: w / denom for label, w in weights.items()}
-
-
-def abl_probability(tsv: TwoStateVector, outcomes: ProjectorSet, which: str) -> float:
-    """Conditional probability of one labeled outcome (see module docstring)."""
-    dist = abl_distribution(tsv, outcomes)
-    if which not in dist:
-        raise KeyError(f"no outcome labeled {which!r}")
-    return dist[which]
 
 
 @dataclass(frozen=True)

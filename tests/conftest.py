@@ -26,7 +26,8 @@ def np_basis(net: Network, cut: int) -> list[str]:
 
 
 def np_stage_matrix(net: Network, stage: int) -> np.ndarray:
-    """Dense stage matrix rebuilt from the element list (not from stage_unitary)."""
+    """Dense stage matrix rebuilt from the element list (not from the couplings
+    the network records)."""
     in_basis, out_basis = np_basis(net, stage), np_basis(net, stage + 1)
     col = {m: j for j, m in enumerate(in_basis)}
     row = {m: j for j, m in enumerate(out_basis)}
@@ -48,6 +49,29 @@ def np_stage_matrix(net: Network, stage: int) -> np.ndarray:
         if m not in touched:
             mat[row[m], col[m]] = 1.0
     return mat
+
+
+def np_couplings(net: Network, stage: int) -> np.ndarray:
+    """The couplings ``net._couplings[stage]`` the network contracts states
+    with, as a dense matrix from the live modes at cut ``stage`` to those at
+    cut ``stage + 1``; a coupling outside them raises KeyError."""
+    col = {m: j for j, m in enumerate(np_basis(net, stage))}
+    row = {m: j for j, m in enumerate(np_basis(net, stage + 1))}
+    mat = np.zeros((len(row), len(col)), dtype=complex)
+    for (out, inp), amp in net._couplings[stage].items():
+        mat[row[out], col[inp]] = amp
+    return mat
+
+
+def contract(entries: dict, state, src: int):
+    """Reference contraction, written out here: op|ket> (``src`` 1, summed
+    over columns) or <bra|op (``src`` 0, over rows) for the entries of op,
+    summed in their stored order."""
+    out = {}
+    for key, amp in entries.items():
+        if key[src] in state.entries:
+            out[key[1 - src]] = out.get(key[1 - src], 0j) + amp * state.entries[key[src]]
+    return type(state)(out)
 
 
 def np_vector(state_entries: dict, basis: list[str]) -> np.ndarray:

@@ -167,6 +167,16 @@ def test_an_empty_eigenbasis_label_exits_4(capsys):
     assert (code, out, err) == (4, "", "error: eigenbasis labels must be non-empty\n")
 
 
+@pytest.mark.parametrize("label", ["a;b", "a:b", ":", "b;"])
+def test_an_eigenbasis_label_no_literal_can_name_exits_4(label, capsys):
+    # A state literal splits its terms on ';' and reads a label up to ':'.
+    code, out, err = run_cli(["measure", "--system", "u:1,0", "--eigenbasis", f"{label},u",
+                              "--eigenvalues", "1,2"], capsys)
+    assert (code, out) == (4, "")
+    assert err == (f"error: eigenbasis label {label!r} holds ';' or ':', "
+                   "which no state literal can name\n")
+
+
 def test_bohm_zero_samples_exits_6(capsys):
     code, out, _ = run_cli(["bohm", "--preset", "--samples", "0"], capsys)
     assert code == 6

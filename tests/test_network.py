@@ -10,6 +10,7 @@ import pytest
 
 from conftest import (
     S,
+    np_couplings,
     np_forward,
     np_stage_matrix,
     random_balanced_network,
@@ -21,7 +22,6 @@ from prepost.hilbert import (
     adjoint,
     basis_bra,
     basis_ket,
-    check_unitary,
     states_close,
 )
 from prepost.network import (
@@ -36,7 +36,6 @@ from prepost.network import (
     evolve,
     forward_chain,
     preset_double_mz,
-    stage_unitary,
 )
 from prepost.pilot import run_ensemble, run_trajectory
 from prepost.twotime import certainty_report, spin_network
@@ -149,7 +148,8 @@ def test_backward_chain_indexing(net):
 
 def test_every_stage_unitary_passes_check(net):
     for k in range(net.n_stages):
-        assert check_unitary(stage_unitary(net, k), 1e-12)
+        u = np_couplings(net, k)
+        assert np.abs(u.conj().T @ u - np.eye(u.shape[1])).max() <= 1e-12
 
 
 def _seeded_balanced(n_rails):
@@ -164,35 +164,33 @@ def _seeded_balanced(n_rails):
 def test_stage_matrices_match_dense_oracle(make):
     net = make()
     for k in range(net.n_stages):
-        op = stage_unitary(net, k)
-        dense = np_stage_matrix(net, k)
         in_basis, out_basis = net.live[k], net.live[k + 1]
-        assert (op.in_basis, op.out_basis) == (in_basis, out_basis)
-        for i, row in enumerate(out_basis):
-            for j, col in enumerate(in_basis):
-                assert abs(op[(row, col)] - dense[i, j]) <= 1e-15
+        assert all(row in out_basis and col in in_basis for row, col in net._couplings[k])
+        dense = np_stage_matrix(net, k)
+        assert np.abs(np_couplings(net, k) - dense).max() <= 1e-15
 
 
 def test_stage_index_range(net):
-    for stage in (6, -1, 1.5, "1", 1.0, None):
+    # Stage k runs from cut k to cut k + 1: a cut is an int in 0..n_stages.
+    for cut in (7, -1, 1.5, "1", 1.0, None):
         with pytest.raises(OutOfRangeError):
-            stage_unitary(net, stage)
+            evolve(net, basis_ket("a"), 0, cut)
     # 1.0 hashes like 1: it must fail the same way before and after a traversal.
     forward_chain(net, basis_ket("a"))
     with pytest.raises(OutOfRangeError):
-        stage_unitary(net, 1.0)
+        evolve(net, basis_ket("a"), 0, 1.0)
 
 
 def test_traversals_leave_the_network_unchanged():
     net = preset_double_mz()
     before = copy.deepcopy(net)
-    unitaries = [stage_unitary(net, k) for k in range(net.n_stages)]
+    couplings = [list(entries.items()) for entries in net._couplings]
     forward_chain(net, basis_ket("a"))
     backward_chain(net, basis_bra("g"))
     certainty_report(net, basis_ket("a"), basis_bra("g"))
     run_ensemble(net, 200, seed=3)
     assert vars(net) == vars(before)
-    assert [stage_unitary(net, k) for k in range(net.n_stages)] == unitaries
+    assert [list(entries.items()) for entries in net._couplings] == couplings
 
 
 # ---------------------------------------------------------------------------

@@ -8,18 +8,17 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from prepost.hilbert import adjoint, basis_bra, basis_ket
+from prepost.hilbert import Bra, Ket, adjoint, basis_bra, basis_ket
 from prepost.network import Element, build_network, forward_chain, preset_double_mz
 from prepost.pilot import (
     DEFAULT_RULES,
     EMPTY_WAVE_DIAGNOSTIC,
     RuleTable,
     TrajectoryError,
-    TransferContext,
     _build_plan,
     _partition,
     _run,
-    element_transfer,
+    _walk,
     run_ensemble,
     run_trajectory,
 )
@@ -29,17 +28,22 @@ S = 1.0 / math.sqrt(2.0)
 PRESERVE_RULES = RuleTable(reverse_on_bs_reflection=False)
 
 
-def cell(q: float) -> tuple[int, int, int]:
-    """The exact position of the particle at start quantile ``q``: the cell
-    just above it."""
-    return (*q.as_integer_ratio(), 1)
+def one_element_network(element: Element):
+    """A network of one stage that holds ``element`` alone."""
+    record = ({"type": "mirror", "in": element.ins[0], "out": element.outs[0]}
+              if element.kind == "mirror"
+              else {"type": element.kind, "in": list(element.ins), "out": list(element.outs)})
+    modes = list(dict.fromkeys(element.ins + element.outs))
+    return build_network({"modes": modes, "stages": [{"elements": [record]}]})
 
 
-def transfer(element, mode, q, context) -> tuple[str, float]:
-    """``element_transfer`` from the cell just above ``q``, read back as
-    ``(mode, quantile)``."""
-    out, (num, den, _) = element_transfer(element, mode, cell(q), context)
-    return out, num / den
+def transfer(element, mode, q, amplitudes, direction="forward", rules=DEFAULT_RULES):
+    """The particle at start quantile ``q`` on ``mode``, run through
+    ``element`` alone, its wave ``amplitudes`` on the element's input ports
+    in the traversal ``direction``: ``(mode, quantile)`` after the element."""
+    state = (Ket if direction == "forward" else Bra)(amplitudes)
+    rec = run_trajectory(one_element_network(element), q, direction, state, mode, rules)
+    return rec.states[-1].mode, rec.states[-1].quantile
 
 
 @pytest.fixture(scope="module")
@@ -78,37 +82,34 @@ def single_mz_network():
 
 def test_mirror_reverses_order():
     mirror = Element("mirror", ("c",), ("c",))
-    ctx = TransferContext({"c": 1.0})
-    assert transfer(mirror, "c", 0.3, ctx) == ("c", 0.7)
+    assert transfer(mirror, "c", 0.3, {"c": 1.0}) == ("c", 0.7)
 
 
 def test_split_leading_half_transmits():
     bs = Element("beamsplitter", ("u", "v"), ("x", "y"))
-    ctx = TransferContext({"u": 1.0})
-    assert transfer(bs, "u", 0.25, ctx) == ("x", 0.5)
+    assert transfer(bs, "u", 0.25, {"u": 1.0}) == ("x", 0.5)
 
 
 def test_split_trailing_half_reflects_with_reversal():
     bs = Element("beamsplitter", ("u", "v"), ("x", "y"))
-    ctx = TransferContext({"u": 1.0})
-    assert transfer(bs, "u", 0.75, ctx) == ("y", 0.5)
+    assert transfer(bs, "u", 0.75, {"u": 1.0}) == ("y", 0.5)
 
 
 def test_split_midpoint_joins_trailing_half():
     bs = Element("beamsplitter", ("u", "v"), ("x", "y"))
-    ctx = TransferContext({"u": 1.0})
-    mode, (num, den, side) = element_transfer(bs, "u", cell(0.5), ctx)
+    assert transfer(bs, "u", 0.5, {"u": 1.0}) == ("y", 1.0)
     # The cell just above 1/2 reflects, with order reversal, to the cell
     # just below 1: the trailing edge of the packet on y, which reads 1.0.
-    assert (mode, num, side) == ("y", den, -1)
-    assert num / den == 1.0
+    plan = _build_plan(one_element_network(bs), "forward", basis_ket("u"), None, DEFAULT_RULES)
+    live, _ = list(_walk(plan, 0, 1, 1, 1, 2))[-1]  # the cell (k + 1) / 2, k in [0, 1)
+    ((_, _, a, num, den, modes),) = live
+    assert (modes[-1], num, a < 0) == ("y", den, True)
 
 
 def test_split_from_second_port():
     bs = Element("beamsplitter", ("u", "v"), ("x", "y"))
-    ctx = TransferContext({"v": 1.0})
-    assert transfer(bs, "v", 0.25, ctx) == ("y", 0.5)  # v transmits to y
-    assert transfer(bs, "v", 0.75, ctx) == ("x", 0.5)
+    assert transfer(bs, "v", 0.25, {"v": 1.0}) == ("y", 0.5)  # v transmits to y
+    assert transfer(bs, "v", 0.75, {"v": 1.0}) == ("x", 0.5)
 
 
 @pytest.mark.parametrize("direction", ["forward", "reversed"])
@@ -118,19 +119,17 @@ def test_particle_on_an_empty_input_port_is_rejected(direction, mode, amplitudes
     ports = (("u", "v"), ("x", "y"))  # (inputs, outputs) in the traversal direction
     bs = Element("beamsplitter", *(ports if direction == "forward" else ports[::-1]))
     with pytest.raises(TrajectoryError, match="carries no amplitude"):
-        element_transfer(bs, mode, 0.3, TransferContext(amplitudes, direction=direction))
+        transfer(bs, mode, 0.3, amplitudes, direction)
 
 
 def test_merge_reflected_input_fills_leading_half():
     bs = Element("beamsplitter", ("d", "c"), ("e", "f"))
-    ctx = TransferContext({"c": S, "d": 1j * S})
-    assert transfer(bs, "c", 0.4, ctx) == ("e", 0.3)
+    assert transfer(bs, "c", 0.4, {"c": S, "d": 1j * S}) == ("e", 0.3)
 
 
 def test_merge_transmitted_input_fills_trailing_half():
     bs = Element("beamsplitter", ("d", "c"), ("e", "f"))
-    ctx = TransferContext({"c": S, "d": 1j * S})
-    assert transfer(bs, "d", 0.4, ctx) == ("e", 0.7)
+    assert transfer(bs, "d", 0.4, {"c": S, "d": 1j * S}) == ("e", 0.7)
 
 
 def coupled(amps: dict, mode: str, q: float, reverse: bool = True) -> tuple[str, float]:
@@ -158,20 +157,11 @@ def coupled(amps: dict, mode: str, q: float, reverse: bool = True) -> tuple[str,
 ], ids=["unequal", "partial", "generic"])
 def test_two_occupied_inputs_couple_by_product(amps, rules):
     bs = Element("beamsplitter", ("u", "v"), ("x", "y"))
-    ctx = TransferContext(amps, rules=rules)
     for mode in ("u", "v"):
         for q in (0.0, 0.1, 0.3, 0.5, 0.8, 0.99):
-            out, image = transfer(bs, mode, q, ctx)
+            out, image = transfer(bs, mode, q, amps, rules=rules)
             want_out, want = coupled(amps, mode, q, rules.reverse_on_bs_reflection)
             assert out == want_out and abs(image - want) <= 1e-12, (mode, q)
-
-
-def test_transfer_requires_matching_port():
-    bs = Element("beamsplitter", ("u", "v"), ("x", "y"))
-    with pytest.raises(TrajectoryError):
-        element_transfer(bs, "x", 0.3, TransferContext({"u": 1.0}))
-    with pytest.raises(TrajectoryError, match="no amplitude"):
-        element_transfer(bs, "v", 0.3, TransferContext({"u": 1.0}))
 
 
 def test_quantile_range_validated(net):

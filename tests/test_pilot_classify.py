@@ -3,8 +3,10 @@
 ``run_ensemble`` counts its draws against the exact partition of the start
 quantiles by route (see the ``prepost.pilot`` module docstring).
 ``reference_ensemble`` keeps the loop it replaced, which transports every
-draw ``derive_stream(seed, i).random()`` with ``_run``; the two must agree
+draw ``derive_stream(seed, i).random()`` on its own; the two must agree
 exactly, down to dict order and to the exception a failing draw raises.
+``_run`` and the partition share one walk, so the per-draw transport here,
+``reference_run``, is written out independently of both.
 """
 from __future__ import annotations
 
@@ -33,8 +35,10 @@ from prepost.network import (
 from prepost.pilot import (
     DEFAULT_RULES,
     EnsembleStats,
+    ParticleState,
     RuleTable,
     TrajectoryError,
+    TrajectoryRecord,
     _build_plan,
     _partition,
     _run,
@@ -53,16 +57,46 @@ SEEDS = range(10)
 SIZES = (1, 3, 50, 2000)
 
 
+def reference_transfer(mode, position, branching):
+    """One element's rule, the entry of ``plan.branchings`` for the port of
+    ``mode``, applied to the exact cell ``position`` = ``(num, den, side)``:
+    the cell just above (side +1) or just below (side -1) num/den lies below
+    the threshold tn/td iff num/den < tn/td (side +1) or num/den <= tn/td
+    (side -1), and the branch taken, x -> (scale*x + shift) / div, maps it
+    to the cell at its image, on the flipped side if scale < 0."""
+    if isinstance(branching, TrajectoryError):
+        raise branching
+    num, den, side = position
+    (tn, td), branches = branching
+    below = num * td < tn * den if side > 0 else num * td <= tn * den
+    out, (scale, shift, div) = branches[0] if below else branches[-1]
+    return out, (scale * num + shift * den, den * div, side if scale > 0 else -side)
+
+
+def reference_run(plan, q0: float) -> TrajectoryRecord:
+    """The particle at the cell just above ``q0``, stepped element by element
+    with ``reference_transfer``; a mode with no port in a stage passes through."""
+    mode, position = plan.start_mode, (*q0.as_integer_ratio(), 1)
+    states = [ParticleState(mode=mode, quantile=q0, cut=plan.cuts[0])]
+    for branchings, cut in zip(plan.branchings, plan.cuts[1:]):
+        if mode in branchings:
+            mode, position = reference_transfer(mode, position, branchings[mode])
+        states.append(ParticleState(mode=mode, quantile=position[0] / position[1], cut=cut))
+    return TrajectoryRecord(direction=plan.direction, quantile0=q0, states=tuple(states),
+                            terminal=plan.terminal_names.get(mode, mode),
+                            diagnostics=plan.diagnostics)
+
+
 def reference_ensemble(net, samples, seed, direction="forward", terminal_state=None,
                        start_mode=None, rules=DEFAULT_RULES):
-    """The per-draw loop: every draw is transported with ``_run``."""
+    """The per-draw loop: every draw is transported with ``reference_run``."""
     if terminal_state is None:
         terminal_state = Ket({net.sources[0]: 1.0 + 0j})
     plan = _build_plan(net, direction, terminal_state, start_mode, rules)
     detector_counts: dict[str, int] = {}
     conditional: dict[str, dict[tuple[str, ...], int]] = {}
     for i in range(samples):
-        rec = _run(plan, derive_stream(seed, i).random())
+        rec = reference_run(plan, derive_stream(seed, i).random())
         detector_counts[rec.terminal] = detector_counts.get(rec.terminal, 0) + 1
         paths = conditional.setdefault(rec.terminal, {})
         paths[rec.path] = paths.get(rec.path, 0) + 1
@@ -280,9 +314,9 @@ def adversarial_draws(n_stages: int) -> list[int]:
                          ids=[i for _, i in BOUNDARY_CHAINS])
 def test_classification_at_branch_boundaries(name, net, rules):
     # The partition gives every adversarial draw, and two seeded draws per
-    # adversarial one, the terminal and path of _run; and the first and last
-    # draw of every piece take the same mode at every cut, which tells apart
-    # the routes of the one-detector preset.
+    # adversarial one, the terminal and path of reference_run; and the first
+    # and last draw of every piece take the same mode at every cut, which
+    # tells apart the routes of the one-detector preset.
     rng = random.Random(f"{name}-{rules.reverse_on_bs_reflection}")
     for direction, terminal, start_mode in cases(net, all_ports=True):
         if terminal is None:
@@ -293,11 +327,11 @@ def test_classification_at_branch_boundaries(name, net, rules):
         for k in adversarial_draws(net.n_stages):
             draws += [k, rng.getrandbits(53), rng.getrandbits(53)]
         for k in draws:
-            rec = _run(plan, k * 2.0 ** -53)
+            rec = reference_run(plan, k * 2.0 ** -53)
             assert outcomes[bisect_right(edges, k)] == (rec.terminal, rec.path), k
         bounds = [0, *edges, 2 ** 53]
         for lo, hi in zip(bounds, bounds[1:]):
-            first, last = (_run(plan, k * 2.0 ** -53) for k in (lo, hi - 1))
+            first, last = (reference_run(plan, k * 2.0 ** -53) for k in (lo, hi - 1))
             assert [s.mode for s in first.states] == [s.mode for s in last.states], lo
 
 
@@ -321,7 +355,8 @@ def description(net: Network) -> dict:
 def test_routes_equal_the_oracle_partition(name, net, rules):
     # The oracle pushes the whole unit interval through the network and
     # returns its half-open (terminal, path) pieces; the route of every
-    # start quantile where a rule switches branch is that of its piece.
+    # start quantile where a rule switches branch is that of its piece, and
+    # its record, quantile by quantile, that of reference_run.
     reference = oracle.Network(description(net))
     for direction, terminal, start_mode in cases(net, all_ports=True):
         if terminal is None:
@@ -336,6 +371,7 @@ def test_routes_equal_the_oracle_partition(name, net, rules):
             rec = _run(plan, q)
             assert (rec.terminal, rec.path) == (piece_terminal, piece_path), (
                 direction, start_mode, q)
+            assert rec == reference_run(plan, q), (direction, start_mode, q)
 
 
 @pytest.mark.parametrize("name,net,rules", [c for c, _ in BOUNDARY_CHAINS],

@@ -29,9 +29,8 @@ from prepost.pilot import (
     _build_plan,
     _partition,
     _run,
-    _transfer,
 )
-from test_pilot_classify import BOUNDARY_CHAINS, FAINT_START, three_rail_mesh
+from test_pilot_classify import BOUNDARY_CHAINS, FAINT_START, reference_transfer, three_rail_mesh
 
 RULES = {"reverse": DEFAULT_RULES, "preserve": RuleTable(reverse_on_bs_reflection=False)}
 FULL = 1 << 53
@@ -131,7 +130,7 @@ def transport(plan, position):
     mode, modes = plan.start_mode, [plan.start_mode]
     for branchings in plan.branchings:
         if mode in branchings:
-            mode, position = _transfer(mode, position, branchings[mode])
+            mode, position = reference_transfer(mode, position, branchings[mode])
         modes.append(mode)
     return modes, position
 

@@ -1,6 +1,6 @@
 """One traversal per selection: stage-application counts, the support
 check shared by ``evolve`` and the two chains, and the traversal's bits
-against chaining the stage operators one by one."""
+against contracting the stage couplings one by one."""
 from __future__ import annotations
 
 import json
@@ -9,12 +9,12 @@ import random
 import numpy as np
 import pytest
 
-from conftest import random_balanced_network
+from conftest import contract, random_balanced_network
 from prepost import cli, network
 from prepost.cli import main
-from prepost.hilbert import Bra, Ket, adjoint, apply, apply_dual, basis_ket
+from prepost.hilbert import Bra, Ket, adjoint, basis_ket
 from prepost.network import (UnknownModeError, backward_chain, build_network, evolve,
-                             forward_chain, preset_double_mz, stage_unitary)
+                             forward_chain, preset_double_mz)
 from prepost.twotime import certainty_report
 from test_pilot_classify import BOUNDARY_CHAINS, mz_cascade
 
@@ -91,17 +91,18 @@ def test_trajectory_from_an_undeclared_mode_exits_4(network_file, tmp_path, caps
 
 
 # ---------------------------------------------------------------------------
-# traversal bits equal chaining the stage operators
+# traversal bits equal contracting the stage couplings one by one
 
 def _chained(net, state, frm, to):
-    """Reference traversal: ``apply``/``apply_dual`` on each ``stage_unitary``."""
+    """Reference traversal: the reference contraction of each stage's
+    couplings in stored order, kets over the inputs and bras over the outputs."""
     states = [state]
     if isinstance(state, Ket):
         for k in range(frm, to):
-            states.append(apply(stage_unitary(net, k), states[-1]))
+            states.append(contract(net._couplings[k], states[-1], 1))
     else:
         for k in range(frm - 1, to - 1, -1):
-            states.append(apply_dual(states[-1], stage_unitary(net, k)))
+            states.append(contract(net._couplings[k], states[-1], 0))
     return states
 
 
